@@ -48,6 +48,7 @@ from .regularity import (
 )
 from .solver import (
     SolveConfig,
+    SolveInfo,
     residual,
     solve_linear,
     solve_mean_curvature,

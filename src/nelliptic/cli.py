@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import fixtures as fixtures_mod
 from . import geometry, regularity, solver
-from .errors import NellipticError, ParameterError
+from .errors import InvalidInputError, NellipticError, ParameterError
 from .grid import GridFunction, read_grid, write_grid
 from .operators import (
     DEFAULT_PROBE_RHO,
@@ -170,13 +171,30 @@ def _eval_expr(node, x):
     if kind == "/":
         return a / b
     if kind == "^":
-        return a**b
+        v = a**b  # complex for a negative base under a fractional power
+        return v if isinstance(v, float) else math.nan
     raise ParameterError("bad expression node %r" % (kind,))
 
 
 def parse_expression(text):
+    """The expression as a function of the point x; a point where it has no
+    finite real value (division by zero, overflow, a negative base under a
+    fractional power) raises InvalidInputError."""
     tree = _ExprParser(text).parse()
-    return lambda x: _eval_expr(tree, np.atleast_1d(np.asarray(x, dtype=float)))
+
+    def value(x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        try:
+            v = _eval_expr(tree, x)
+        except (ZeroDivisionError, OverflowError):
+            v = math.nan
+        if not math.isfinite(v):
+            raise InvalidInputError(
+                "expression %r has no finite real value at x = %r" % (text, tuple(x.tolist()))
+            )
+        return v
+
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -268,17 +286,13 @@ def _cmd_solve(args):
         tri = [float(v) for v in args.A.split(",")] if args.A else [1.0, 0.0, 1.0]
         A = np.array([[tri[0], tri[1]], [tri[1], tri[2]]])
         b = [float(v) for v in args.b.split(",")] if args.b else None
-        u = solver.solve_linear(A, b, f, g, config)
-        info = {"iterations": 1, "residual": 0.0}
+        u, info = solver.solve_linear(A, b, f, g, config)
     elif args.eq == "pucci":
-        u = solver.solve_pucci(args.lam, args.Lam, args.sign, f, g, config)
-        info = u._solve_info
+        u, info = solver.solve_pucci(args.lam, args.Lam, args.sign, f, g, config)
     elif args.eq == "ma":
-        u = solver.solve_monge_ampere(f, g, config)
-        info = u._solve_info
+        u, info = solver.solve_monge_ampere(f, g, config)
     elif args.eq == "mc":
-        u = solver.solve_mean_curvature(f, g, delta_guard=args.guard, config=config)
-        info = {"iterations": None, "residual": None}
+        u, info = solver.solve_mean_curvature(f, g, delta_guard=args.guard, config=config)
     else:
         raise ParameterError("unknown equation %r" % args.eq)
     write_grid(u, args.out)
@@ -287,10 +301,10 @@ def _cmd_solve(args):
         ["eq", "grid", "box", "h", "f", "g", "out", "stencil", "tol", "max_iters",
          "A", "b", "lam", "Lam", "sign", "guard"],
     )
-    rec = {"out": args.out, "shape": list(u.shape), "spacing": u.spacing}
-    rec.update({k: v for k, v in info.items() if k != "history"})
-    if "history" in info:
-        rec["residual_history"] = info["history"]
+    rec = {"out": args.out, "shape": list(u.shape), "spacing": u.spacing,
+           "iterations": info.iterations, "residual": info.residual}
+    if info.history is not None:
+        rec["residual_history"] = info.history
     _emit(rec, "solve", cfg)
     return 0
 

@@ -18,8 +18,10 @@ distance-weighted second differences d_v = (u(x+hv) - 2u(x) + u(x-hv))/(h|v|)^2,
 
 all of which are exact on quadratics whose Hessian is diagonalized by a
 stencil frame. The nonlinear systems are solved by damped semismooth Newton
-(0.5 damping with a residual-decrease line search) with nodewise
-Gauss-Seidel sweeps as a fallback after repeated Newton failures.
+(0.5 damping with a residual-decrease line search) with whole-grid sweeps as
+a fallback after repeated Newton failures: Jacobi steps for Pucci, nodal
+bisection for the determinant. Residuals, Jacobians and sweeps are computed
+on whole arrays by one frame core shared by both schemes.
 
 The graph mean-curvature equation is solved in the small-data regime by
 frozen-coefficient Picard iteration on (I - Du Du^T / w^2) : D^2 u = f w,
@@ -82,6 +84,19 @@ class SolveConfig:
         return name
 
 
+@dataclass(frozen=True)
+class SolveInfo:
+    """How a solve ended: Newton or Picard steps taken (1 for a direct linear
+    solve), the final residual (max |A u - rhs| of a direct linear solve, the
+    last update for mean curvature), the Newton residual history and the
+    number of fallback sweep rounds."""
+
+    iterations: int
+    residual: float
+    history: list | None = None
+    fallbacks: int = 0
+
+
 # ---------------------------------------------------------------------------
 # boundary data
 
@@ -115,73 +130,49 @@ def _assemble_linear(grid: GridFunction, A_field, b_field, f_vals, gvals):
     """Sparse monotone system for tr(A D^2 u) + b.Du = f, Dirichlet data."""
     ny, nx = grid.shape
     h = grid.spacing
-    n_nodes = ny * nx
+    h2 = h * h
+    inner = (slice(1, -1), slice(1, -1))
+    a11, a12, a22 = np.moveaxis(A_field[inner], -1, 0)
+    b1, b2 = np.moveaxis(b_field[inner], -1, 0)
+    am = np.abs(a12)
+    bad = np.argwhere((a11 - am < -1e-12) | (a22 - am < -1e-12))
+    if len(bad):
+        i, j = bad[0] + 1
+        raise AnisotropyError(
+            "9-point stencil not monotone at node (%d,%d): "
+            "need a11,a22 >= |a12| (a=%r)" % (i, j, tuple(A_field[i, j]))
+        )
+    # each weight is summed from 0.0 (which turns a -0.0 term into 0.0) in the
+    # order the terms are listed: second differences, then upwinded first ones
+    ex = 0.0 + (a11 - am) / h2
+    ey = 0.0 + (a22 - am) / h2
+    centre = 0.0 + -2.0 * (a11 + a22 - am) / h2
+    diag = am / h2
+    x_up = np.where(b1 >= 0, ex + b1 / h, ex)
+    x_dn = np.where(b1 >= 0, ex, ex + -b1 / h)
+    centre = centre + np.where(b1 >= 0, -b1 / h, b1 / h)
+    y_up = np.where(b2 >= 0, ey + b2 / h, ey)
+    y_dn = np.where(b2 >= 0, ey, ey + -b2 / h)
+    centre = centre + np.where(b2 >= 0, -b2 / h, b2 / h)
 
-    def lin(i, j):
-        return i * nx + j
-
-    rows, cols, data = [], [], []
-    rhs = np.zeros(n_nodes)
+    k = np.arange(ny * nx).reshape(ny, nx)[inner]
+    s = np.where(a12 >= 0, 1, -1)  # the cross term sits on the (1,s) diagonal
+    cols = np.stack([k + nx, k - nx, k + 1, k - 1, k, k + nx + s, k - nx - s])
+    data = np.stack([x_up, x_dn, y_up, y_dn, centre, diag, diag])
     interior = grid.interior_mask()
-    for i in range(ny):
-        for j in range(nx):
-            k = lin(i, j)
-            if not interior[i, j]:
-                rows.append(k)
-                cols.append(k)
-                data.append(1.0)
-                rhs[k] = gvals[i, j]
-                continue
-            a11, a12, a22 = A_field[i, j]
-            if a11 - abs(a12) < -1e-12 or a22 - abs(a12) < -1e-12:
-                raise AnisotropyError(
-                    "9-point stencil not monotone at node (%d,%d): "
-                    "need a11,a22 >= |a12| (a=%r)" % (i, j, (a11, a12, a22))
-                )
-            b1, b2 = b_field[i, j]
-            h2 = h * h
-            st = {}
-
-            def add(di, dj, c):
-                st[(di, dj)] = st.get((di, dj), 0.0) + c
-
-            am = abs(a12)
-            add(1, 0, (a11 - am) / h2)
-            add(-1, 0, (a11 - am) / h2)
-            add(0, 1, (a22 - am) / h2)
-            add(0, -1, (a22 - am) / h2)
-            add(0, 0, -2.0 * (a11 + a22 - am) / h2)
-            if a12 >= 0:
-                add(1, 1, am / h2)
-                add(-1, -1, am / h2)
-            else:
-                add(1, -1, am / h2)
-                add(-1, 1, am / h2)
-            if b1 >= 0:
-                add(1, 0, b1 / h)
-                add(0, 0, -b1 / h)
-            else:
-                add(-1, 0, -b1 / h)
-                add(0, 0, b1 / h)
-            if b2 >= 0:
-                add(0, 1, b2 / h)
-                add(0, 0, -b2 / h)
-            else:
-                add(0, -1, -b2 / h)
-                add(0, 0, b2 / h)
-
-            for (di, dj), c in st.items():
-                rows.append(k)
-                cols.append(lin(i + di, j + dj))
-                data.append(c)
-            rhs[k] = f_vals[i, j]
-    Asp = sp.csr_matrix((data, (rows, cols)), shape=(n_nodes, n_nodes))
+    bnd = np.flatnonzero(~interior)
+    rows = np.concatenate([np.broadcast_to(k, cols.shape).ravel(), bnd])
+    cols = np.concatenate([cols.ravel(), bnd])
+    data = np.concatenate([data.ravel(), np.ones(len(bnd))])
+    Asp = sp.csc_matrix((data, (rows, cols)), shape=(ny * nx, ny * nx))
+    rhs = np.where(interior, f_vals, gvals).ravel()
     return Asp, rhs
 
 
-def solve_linear(A, b, f: GridFunction, g, config: SolveConfig = None) -> GridFunction:
+def solve_linear(A, b, f: GridFunction, g, config: SolveConfig = None):
     """Dirichlet solve of tr(A D^2 u) + b.Du = f with constant A (positive
-    definite) and constant drift b."""
+    definite) and constant drift b; returns (u, SolveInfo) with the residual
+    max |A u - rhs| of the direct solve."""
     config = config or SolveConfig()
     config.for_scheme("five_point_linear")
     if f.dim != 2:
@@ -202,14 +193,12 @@ def solve_linear(A, b, f: GridFunction, g, config: SolveConfig = None) -> GridFu
     b_field = np.broadcast_to(b, shape + (2,))
     gvals = boundary_values(g, f)
     Asp, rhs = _assemble_linear(f, A_field, b_field, f.values, gvals)
-    sol = spla.spsolve(Asp.tocsc(), rhs)
+    sol = spla.spsolve(Asp, rhs)
     out = GridFunction(f.dim, f.shape, f.origin, f.spacing, sol.reshape(shape))
-    res = Asp @ sol - rhs
-    if np.max(np.abs(res)) > max(config.tol, 1e-8 * (1 + np.max(np.abs(rhs)))):
-        raise IterationLimitError(
-            "direct linear solve residual too large", residual=float(np.max(np.abs(res)))
-        )
-    return out
+    res = float(np.max(np.abs(Asp @ sol - rhs)))
+    if res > max(config.tol, 1e-8 * (1 + np.max(np.abs(rhs)))):
+        raise IterationLimitError("direct linear solve residual too large", residual=res)
+    return out, SolveInfo(1, res)
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +229,18 @@ def stencil_frames(m: int):
 
 
 class _WideStencilProblem:
-    """Shared machinery for frame-based schemes (Pucci, determinant)."""
+    """The frame core shared by the Pucci and determinant schemes.
 
-    def __init__(self, f: GridFunction, g, config: SolveConfig):
+    All work is on whole arrays over the interior nodes. ``frame_value(D)``
+    maps the second differences D[frame, v|w, i, j] to each frame's value;
+    ``coefficients(D)`` maps those of the active frame, D[v|w, i, j], to the
+    Jacobian weight of each direction (a direction with weight <= 0 has no
+    entries). The scheme is the min over the frames that fit inside the grid
+    at a node, or the max when ``maximize``; frame 0, the axes, always fits.
+    """
+
+    def __init__(self, f: GridFunction, g, config: SolveConfig, frame_value, coefficients,
+                 maximize=False):
         if f.dim != 2:
             raise InvalidInputError("wide-stencil solvers expect a 2D grid")
         self.f = f
@@ -250,91 +248,146 @@ class _WideStencilProblem:
         self.h = f.spacing
         self.shape = f.shape
         self.gvals = boundary_values(g, f)
-        self.frames = stencil_frames(config.stencil_directions)
+        self.frame_value = frame_value
+        self.coefficients = coefficients
+        self.maximize = maximize
+        frames = stencil_frames(config.stencil_directions)
+        self.dirs = np.array([[v, w] for v, w in frames])  # (frame, v|w, axis)
+        self.w2 = np.array([[self.h * self.h * float(d @ d) for d in fr] for fr in frames])
         ny, nx = f.shape
-        self.interior = [
-            (i, j) for i in range(1, ny - 1) for j in range(1, nx - 1)
-        ]
-        self.frame_ok = {}
-        for (i, j) in self.interior:
-            ok = []
-            for fi, (v, w) in enumerate(self.frames):
-                reach = max(abs(int(v[0])), abs(int(v[1])), abs(int(w[0])), abs(int(w[1])))
-                if i - reach >= 0 and i + reach < ny and j - reach >= 0 and j + reach < nx:
-                    # exact reach check per offset
-                    good = True
-                    for d in (v, -v, w, -w):
-                        if not (0 <= i + d[0] < ny and 0 <= j + d[1] < nx):
-                            good = False
-                    if good:
-                        ok.append(fi)
-            if not ok:
-                ok = [0]
-            self.frame_ok[(i, j)] = ok
+        self.flat = self.dirs @ np.array([nx, 1])  # offsets in the raveled grid
+        self.reach = int(np.abs(self.dirs).max())
+        i = np.arange(1, ny - 1)[:, None]
+        j = np.arange(1, nx - 1)[None, :]
+        room = np.minimum(np.minimum(i, ny - 1 - i), np.minimum(j, nx - 1 - j))
+        self.fits = np.abs(self.dirs).max(axis=(1, 2))[:, None, None] <= room
+        self.nodes = np.arange(ny * nx).reshape(ny, nx)[1:-1, 1:-1]
+        self.boundary = np.flatnonzero(f.boundary_mask())
 
-    def second_diff(self, u, i, j, v):
-        w2 = self.h * self.h * float(v @ v)
-        return (u[i + v[0], j + v[1]] - 2.0 * u[i, j] + u[i - v[0], j - v[1]]) / w2
+    def second_diffs(self, u, centre=None):
+        """D[frame, v|w, i, j] = (u(x+hd) - 2 c + u(x-hd)) / (h|d|)^2 at the
+        interior nodes, with c = ``centre`` (default: u there). Entries of a
+        frame that does not fit at a node are meaningless."""
+        R = self.reach
+        ny, nx = self.shape
+        up = np.pad(u, R)
+        c = u[1:-1, 1:-1] if centre is None else centre
+        D = np.empty(self.dirs.shape[:2] + c.shape)
+        for fi, frame in enumerate(self.dirs):
+            for s, (di, dj) in enumerate(frame):
+                plus = up[R + 1 + di:R + ny - 1 + di, R + 1 + dj:R + nx - 1 + dj]
+                minus = up[R + 1 - di:R + ny - 1 - di, R + 1 - dj:R + nx - 1 - dj]
+                D[fi, s] = (plus - 2.0 * c + minus) / self.w2[fi, s]
+        return D
+
+    def frame_values(self, D):
+        """Frame values, +inf (-inf for a max) where the frame does not fit."""
+        return np.where(self.fits, self.frame_value(D), -np.inf if self.maximize else np.inf)
+
+    def residual(self, u):
+        """(r, D, active): the residual on the full grid (0 on the boundary),
+        the second differences and the active frame of every interior node."""
+        D = self.second_diffs(u)
+        vals = self.frame_values(D)
+        active = (np.argmax if self.maximize else np.argmin)(vals, axis=0)
+        r = np.zeros(self.shape)
+        r[1:-1, 1:-1] = np.take_along_axis(vals, active[None], 0)[0] - self.f.values[1:-1, 1:-1]
+        return r, D, active
+
+    def stencil(self, D, active):
+        """The linearization at the active frames: per-direction flat offsets
+        and side weights, the used-direction mask and the centre weight."""
+        coeff = self.coefficients(np.take_along_axis(D, active[None, None], 0)[0])
+        w2 = np.moveaxis(self.w2[active], -1, 0)
+        used = coeff > 0
+        cen = np.where(used, coeff * -2.0 / w2, 0.0)
+        # summed from 0.0 in direction order, as a nodewise stencil would
+        centre = (0.0 + cen[0]) + cen[1]
+        return np.moveaxis(self.flat[active], -1, 0), coeff / w2, used, centre
+
+    def jacobian(self, D, active):
+        off, side, used, centre = self.stencil(D, active)
+        k = self.nodes
+        cols = np.stack([k + off[0], k - off[0], k + off[1], k - off[1], k])
+        data = np.stack([side[0], side[0], side[1], side[1], centre])
+        keep = np.stack([used[0], used[0], used[1], used[1], used[0] | used[1]])
+        rows = np.concatenate([np.broadcast_to(k, keep.shape)[keep], self.boundary])
+        cols = np.concatenate([cols[keep], self.boundary])
+        data = np.concatenate([data[keep], np.ones(len(self.boundary))])
+        n = self.f.values.size
+        return sp.csc_matrix((data, (rows, cols)), shape=(n, n))
+
+    def jacobi_sweep(self, u):
+        """One Jacobi step u + r/c at every interior node, c the centre weight
+        of its active frame (needs every direction weight > 0)."""
+        r, D, active = self.residual(u)
+        centre = self.stencil(D, active)[3]
+        u[1:-1, 1:-1] -= r[1:-1, 1:-1] / centre
+
+    def bisection_sweep(self, u):
+        """Solve every node's equation for its own value with the neighbours
+        frozen (a nonlinear Jacobi step): the node's scheme value decreases in
+        its centre value. A node whose bracket cannot be found keeps its value."""
+        u0 = u[1:-1, 1:-1].copy()
+        target = self.f.values[1:-1, 1:-1]
+
+        def local(t):
+            vals = self.frame_values(self.second_diffs(u, centre=t))
+            return (vals.max(axis=0) if self.maximize else vals.min(axis=0)) - target
+
+        stuck = np.zeros(u0.shape, dtype=bool)
+        lo, hi = u0.copy(), u0.copy()
+        for t, sign in ((lo, -1.0), (hi, 1.0)):
+            step = 1.0 + np.abs(u0)
+            while True:
+                move = ~stuck & (sign * local(t) > 0)
+                if not move.any():
+                    break
+                t[move] += sign * step[move]
+                step[move] *= 2
+                stuck |= move & (step > 1e8)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            above = local(mid) > 0
+            lo = np.where(above, mid, lo)
+            hi = np.where(above, hi, mid)
+        u[1:-1, 1:-1] = np.where(stuck, u0, 0.5 * (lo + hi))
 
     def initial_iterate(self, rhs=None):
         f0 = self.f if rhs is None else GridFunction(
             2, self.shape, self.f.origin, self.h, rhs
         )
         cfg = SolveConfig(tol=self.config.tol, max_iters=self.config.max_iters)
-        return solve_linear(np.eye(2), None, f0, self.gvals, cfg).values
+        return solve_linear(np.eye(2), None, f0, self.gvals, cfg)[0].values
 
-    def solve(self, node_residual, node_jacobian, gs_scalar, init_rhs=None):
-        """Damped Newton with Gauss-Seidel fallback; returns (u, info)."""
+    def solve(self, sweep, init_rhs=None):
+        """Damped Newton; after repeated failures, 10 rounds of ``sweep``
+        (one of the sweeps above). Returns (u, SolveInfo)."""
         cfg = self.config
         u = self.initial_iterate(init_rhs)
-        ny, nx = self.shape
         history = []
-        fails = 0
-
-        def full_residual(uu):
-            r = np.zeros(self.shape)
-            for (i, j) in self.interior:
-                r[i, j] = node_residual(uu, i, j)
-            return r
-
-        res = full_residual(u)
+        fails = fallbacks = 0
+        res, D, active = self.residual(u)
         for it in range(cfg.max_iters):
             rnorm = float(np.max(np.abs(res)))
             history.append(rnorm)
             if rnorm <= cfg.tol:
-                return (
-                    GridFunction(2, self.shape, self.f.origin, self.h, u),
-                    {"iterations": it, "residual": rnorm, "history": history},
-                )
-            rows, cols, data = [], [], []
-            rhs = np.zeros(ny * nx)
-            for (i, j) in self.interior:
-                k = i * nx + j
-                for (di, dj), c in node_jacobian(u, i, j).items():
-                    rows.append(k)
-                    cols.append((i + di) * nx + (j + dj))
-                    data.append(c)
-                rhs[k] = -res[i, j]
-            for i in range(ny):
-                for j in range(nx):
-                    if i in (0, ny - 1) or j in (0, nx - 1):
-                        k = i * nx + j
-                        rows.append(k)
-                        cols.append(k)
-                        data.append(1.0)
-            J = sp.csr_matrix((data, (rows, cols)), shape=(ny * nx, ny * nx))
+                return self._result(u, SolveInfo(it, rnorm, history, fallbacks))
+            rhs = np.zeros(self.shape)
+            rhs[1:-1, 1:-1] = -res[1:-1, 1:-1]
+            J = self.jacobian(D, active)
             try:
-                du = spla.spsolve(J.tocsc(), rhs).reshape(self.shape)
-            except Exception:
+                du = spla.spsolve(J, rhs.ravel()).reshape(self.shape)
+            except (RuntimeError, ValueError):
                 du = None
             stepped = False
             if du is not None and np.all(np.isfinite(du)):
                 alpha = 1.0
                 for _ in range(9):
                     cand = u + alpha * du
-                    cand_res = full_residual(cand)
-                    if float(np.max(np.abs(cand_res))) < rnorm:
-                        u, res = cand, cand_res
+                    cand_eval = self.residual(cand)
+                    if float(np.max(np.abs(cand_eval[0]))) < rnorm:
+                        u, (res, D, active) = cand, cand_eval
                         stepped = True
                         break
                     alpha *= cfg.damping
@@ -344,91 +397,67 @@ class _WideStencilProblem:
             fails += 1
             if fails >= 3 or du is None:
                 for _sweep in range(10):
-                    for (i, j) in self.interior:  # fixed row-major order
-                        u[i, j] = gs_scalar(u, i, j)
-                res = full_residual(u)
+                    sweep(u)
+                res, D, active = self.residual(u)
                 fails = 0
-            else:
-                res = full_residual(u)
+                fallbacks += 1
         rnorm = float(np.max(np.abs(res)))
         if rnorm <= cfg.tol:
-            return (
-                GridFunction(2, self.shape, self.f.origin, self.h, u),
-                {"iterations": cfg.max_iters, "residual": rnorm, "history": history},
-            )
+            return self._result(u, SolveInfo(cfg.max_iters, rnorm, history, fallbacks))
         raise IterationLimitError(
             "wide-stencil solve did not converge", residual=rnorm, history=history
         )
 
+    def _result(self, u, info):
+        return GridFunction(2, self.shape, self.f.origin, self.h, u), info
+
+
+def _pucci_scheme(lam, Lam, sign):
+    """(frame_value, coefficients, maximize) of the Pucci scheme."""
+    up, down = (lam, Lam) if sign == "minus" else (Lam, lam)
+
+    def slope(D):
+        # the weight of d_v in its term, which is also the Jacobian weight
+        return np.where(D > 0, up, down)
+
+    def frame_value(D):
+        terms = slope(D) * D
+        return terms[:, 0] + terms[:, 1]
+
+    return frame_value, slope, sign == "plus"
+
+
+def _ma_scheme(K):
+    """(frame_value, coefficients, maximize) of the penalized determinant
+    scheme prod_v max(d_v, 0) + K sum_v min(d_v, 0)."""
+
+    def frame_value(D):
+        pos, neg = np.maximum(D, 0.0), np.minimum(D, 0.0)
+        return pos[:, 0] * pos[:, 1] + K * (neg[:, 0] + neg[:, 1])
+
+    def coefficients(D):
+        # d/d(d_v) of the product is max(d_w, 0) where d_v > 0, else the penalty K
+        return np.where(D > 0, np.maximum(D, 0.0)[::-1], K)
+
+    return frame_value, coefficients, False
+
 
 def solve_pucci(lam, Lam, sign, f: GridFunction, g, config: SolveConfig = None):
-    """Wide-stencil Dirichlet solve of the Pucci extremal equation."""
+    """Wide-stencil Dirichlet solve of the Pucci extremal equation; returns
+    (u, SolveInfo)."""
     if not (0 < lam <= Lam):
         raise ParameterError("pucci solve requires 0 < lambda <= Lambda")
     if sign not in ("plus", "minus"):
         raise ParameterError("sign must be 'plus' or 'minus'")
     config = config or SolveConfig()
     config.for_scheme("wide_stencil_pucci")
-    prob = _WideStencilProblem(f, g, config)
-    minus = sign == "minus"
-
-    def pw(d):
-        if minus:
-            return lam * d if d > 0 else Lam * d
-        return Lam * d if d > 0 else lam * d
-
-    def frame_value(u, i, j, fi):
-        v, w = prob.frames[fi]
-        return pw(prob.second_diff(u, i, j, v)) + pw(prob.second_diff(u, i, j, w))
-
-    def node_residual(u, i, j):
-        vals = [frame_value(u, i, j, fi) for fi in prob.frame_ok[(i, j)]]
-        return (min(vals) if minus else max(vals)) - f.values[i, j]
-
-    def active_frame(u, i, j):
-        best_fi, best = None, None
-        for fi in prob.frame_ok[(i, j)]:
-            val = frame_value(u, i, j, fi)
-            if best is None or (val < best if minus else val > best):
-                best, best_fi = val, fi
-        return best_fi
-
-    def node_jacobian(u, i, j):
-        fi = active_frame(u, i, j)
-        v, w = prob.frames[fi]
-        st = {}
-        for d in (v, w):
-            dd = prob.second_diff(u, i, j, d)
-            if minus:
-                coeff = lam if dd > 0 else Lam
-            else:
-                coeff = Lam if dd > 0 else lam
-            w2 = prob.h * prob.h * float(d @ d)
-            for off, c in (((int(d[0]), int(d[1])), 1.0), ((-int(d[0]), -int(d[1])), 1.0), ((0, 0), -2.0)):
-                st[off] = st.get(off, 0.0) + coeff * c / w2
-        return st
-
-    def gs_scalar(u, i, j):
-        fi = active_frame(u, i, j)
-        v, w = prob.frames[fi]
-        r = node_residual(u, i, j)
-        c = 0.0
-        for d in (v, w):
-            dd = prob.second_diff(u, i, j, d)
-            if minus:
-                coeff = lam if dd > 0 else Lam
-            else:
-                coeff = Lam if dd > 0 else lam
-            c += 2.0 * coeff / (prob.h * prob.h * float(d @ d))
-        return u[i, j] + r / c
-
-    out, info = prob.solve(node_residual, node_jacobian, gs_scalar)
-    out._solve_info = info
-    return out
+    prob = _WideStencilProblem(f, g, config, *_pucci_scheme(lam, Lam, sign))
+    return prob.solve(prob.jacobi_sweep)
 
 
 def solve_monge_ampere(f: GridFunction, g, config: SolveConfig = None):
-    """Wide-stencil Dirichlet solve of det D^2 u = f (f > 0, n = 2).
+    """Wide-stencil Dirichlet solve of det D^2 u = f (f > 0, n = 2); returns
+    (u, SolveInfo).
 
     Off the convex cone the plain product of positive parts is flat (zero
     products, zero derivatives), so the scheme adds the standard negative-part
@@ -441,105 +470,18 @@ def solve_monge_ampere(f: GridFunction, g, config: SolveConfig = None):
     config.for_scheme("wide_stencil_ma")
     if np.any(f.values <= 0):
         raise AdmissibilityError("determinant equation requires f > 0")
-    prob = _WideStencilProblem(f, g, config)
     K = 1.0 + float(np.max(f.values))
-
-    def frame_val(u, i, j, fi):
-        v, w = prob.frames[fi]
-        dv = prob.second_diff(u, i, j, v)
-        dw = prob.second_diff(u, i, j, w)
-        return max(dv, 0.0) * max(dw, 0.0) + K * (min(dv, 0.0) + min(dw, 0.0))
-
-    def node_residual(u, i, j):
-        vals = [frame_val(u, i, j, fi) for fi in prob.frame_ok[(i, j)]]
-        return min(vals) - f.values[i, j]
-
-    def active_frame(u, i, j):
-        best_fi, best = None, None
-        for fi in prob.frame_ok[(i, j)]:
-            val = frame_val(u, i, j, fi)
-            if best is None or val < best:
-                best, best_fi = val, fi
-        return best_fi
-
-    def node_jacobian(u, i, j):
-        fi = active_frame(u, i, j)
-        v, w = prob.frames[fi]
-        dv = prob.second_diff(u, i, j, v)
-        dw = prob.second_diff(u, i, j, w)
-        st = {}
-
-        def accumulate(d, coeff):
-            if coeff <= 0:
-                return
-            w2 = prob.h * prob.h * float(d @ d)
-            for off, c in (((int(d[0]), int(d[1])), 1.0), ((-int(d[0]), -int(d[1])), 1.0), ((0, 0), -2.0)):
-                st[off] = st.get(off, 0.0) + coeff * c / w2
-
-        accumulate(v, max(dw, 0.0) if dv > 0 else K)
-        accumulate(w, max(dv, 0.0) if dw > 0 else K)
-        return st
-
-    def gs_scalar(u, i, j):
-        # node map is monotone decreasing in the center value: bisect with
-        # neighbor sums frozen
-        target = f.values[i, j]
-        sums = []
-        for fi in prob.frame_ok[(i, j)]:
-            v, w = prob.frames[fi]
-            pair = []
-            for d in (v, w):
-                s = u[i + d[0], j + d[1]] + u[i - d[0], j - d[1]]
-                pair.append((s, prob.h * prob.h * float(d @ d)))
-            sums.append(pair)
-
-        def local(t):
-            best = math.inf
-            for pair in sums:
-                prod = 1.0
-                pen = 0.0
-                for s, w2 in pair:
-                    dd = (s - 2.0 * t) / w2
-                    prod *= max(dd, 0.0)
-                    pen += K * min(dd, 0.0)
-                best = min(best, prod + pen)
-            return best - target
-
-        t_lo = u[i, j]
-        step = 1.0 + abs(u[i, j])
-        while local(t_lo) < 0:
-            t_lo -= step
-            step *= 2
-            if step > 1e8:
-                return u[i, j]
-        t_hi = u[i, j]
-        step = 1.0 + abs(u[i, j])
-        while local(t_hi) > 0:
-            t_hi += step
-            step *= 2
-            if step > 1e8:
-                return u[i, j]
-        for _ in range(60):
-            mid = 0.5 * (t_lo + t_hi)
-            if local(mid) > 0:
-                t_lo = mid
-            else:
-                t_hi = mid
-        return 0.5 * (t_lo + t_hi)
-
+    prob = _WideStencilProblem(f, g, config, *_ma_scheme(K))
     # trace-consistent Poisson start: det(D^2 u) = f has trace n f^{1/n} at
     # isotropic Hessians, so this reproduces aligned paraboloids exactly
-    init_rhs = 2.0 * np.sqrt(f.values)
-    out, info = prob.solve(node_residual, node_jacobian, gs_scalar, init_rhs=init_rhs)
-    # discrete convexity along stencil directions is part of the contract
-    out._solve_info = info
-    return out
+    return prob.solve(prob.bisection_sweep, init_rhs=2.0 * np.sqrt(f.values))
 
 
 def solve_mean_curvature(
     f: GridFunction, g, delta_guard: float = 0.1, config: SolveConfig = None
 ):
-    """Frozen-coefficient Picard iteration for div(Du / sqrt(1+|Du|^2)) = f.
+    """Frozen-coefficient Picard iteration for div(Du / sqrt(1+|Du|^2)) = f;
+    returns (u, SolveInfo) with the Picard steps taken and the last update.
 
     Refuses data outside the small-data regime: ||f||_inf and the affinely
     detrended boundary oscillation must not exceed delta_guard.
@@ -566,7 +508,7 @@ def solve_mean_curvature(
         )
 
     init_cfg = SolveConfig(tol=config.tol, max_iters=config.max_iters)
-    u = solve_linear(np.eye(2), None, f, gvals, init_cfg).values
+    u = solve_linear(np.eye(2), None, f, gvals, init_cfg)[0].values
     h = f.spacing
     shape = f.shape
     scale0 = float(np.max(np.abs(u))) + 1.0
@@ -589,7 +531,7 @@ def solve_mean_curvature(
                 "frozen coefficients left the monotone regime (guard %g): %s"
                 % (delta_guard, exc)
             )
-        new = spla.spsolve(Asp.tocsc(), rvec).reshape(shape)
+        new = spla.spsolve(Asp, rvec).reshape(shape)
         gap = float(np.max(np.abs(new - u)))
         u = new
         if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 50 * scale0:
@@ -597,7 +539,7 @@ def solve_mean_curvature(
                 "Picard iteration diverged under the small-data guard %g" % delta_guard
             )
         if gap <= max(config.tol, 1e-13) * scale0:
-            return GridFunction(2, shape, f.origin, h, u)
+            return GridFunction(2, shape, f.origin, h, u), SolveInfo(it + 1, gap)
     raise SmallDataError(
         "Picard iteration did not settle in %d steps (guard %g)"
         % (config.max_iters, delta_guard)

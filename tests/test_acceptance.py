@@ -232,7 +232,7 @@ def test_criterion_08_envelope():
 def test_criterion_09_abp_maximum_principle():
     g = lambda x: 0.2 + 0.1 * x[0]
     f0 = GridFunction.from_box([-1, -1], [1, 1], 1 / 32)
-    u = solve_pucci(0.5, 2.0, "minus", f0, g)
+    u, _ = solve_pucci(0.5, 2.0, "minus", f0, g)
     sup_minus = float(max(0.0, -u.values.min()))
 
     n, h = 2, 1 / 128
@@ -260,7 +260,7 @@ def test_criterion_10_ma_exactness_and_sections():
     ):
         f = GridFunction.from_box([-1, -1], [1, 1], h)
         f.values[:] = fval
-        u = solve_monge_ampere(f, gfun, SolveConfig(tol=1e-11))
+        u, _ = solve_monge_ampere(f, gfun, SolveConfig(tol=1e-11))
         exact = np.array([gfun(p) for p in u.points()]).reshape(u.shape)
         worst = max(worst, float(np.max(np.abs(u.values - exact))))
 
@@ -329,7 +329,7 @@ def test_criterion_12_oscillation_decay():
     h = 1 / 64
     f = GridFunction.from_box([-1, -1], [1, 1], h)
     f.values[:] = 0.01
-    u = solve_pucci(0.5, 2.0, "minus", f, lambda x: 0.1 * (x[0] ** 2 - x[1] ** 2))
+    u, _ = solve_pucci(0.5, 2.0, "minus", f, lambda x: 0.1 * (x[0] ** 2 - x[1] ** 2))
     radii = [0.5 * 0.5**m for m in range(5)]
     prof = oscillation_profile(u, [0.0, 0.0], radii)
     logs = np.log([r for r, _ in prof]), np.log([o for _, o in prof])

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from nelliptic.cli import main, parse_expression
-from nelliptic.errors import ParameterError
+from nelliptic.errors import InvalidInputError, ParameterError
 from nelliptic.grid import GridFunction, read_grid, write_grid
+from nelliptic.solver import solve_linear
 
 
 def run_cli(args, cwd=None):
@@ -37,6 +38,11 @@ class TestExpressions:
         for text in ("x3", "sin(x1)", "1 +", "(x1", "abs x1"):
             with pytest.raises(ParameterError):
                 parse_expression(text)
+
+    def test_no_finite_real_value(self):
+        for text in ("1/0", "0^-1", "x1^0.5", "abs(x1^0.5)", "10^400", "1e308*10"):
+            with pytest.raises(InvalidInputError):
+                parse_expression(text)([-1.0, 0.5])
 
 
 class TestGridFile:
@@ -97,7 +103,12 @@ class TestSubcommands:
              "--f", "1", "--g", "0", "--out", str(out)]
         )
         assert rc == 0
-        capsys.readouterr()
+        rec = json.loads(capsys.readouterr().out)
+        f = GridFunction.from_box([-1, -1], [1, 1], 0.125)
+        f.values[:] = 1.0
+        _, info = solve_linear(np.eye(2), None, f, 0.0)
+        # the record carries the direct solve's own residual max |A u - rhs|
+        assert (rec["iterations"], rec["residual"]) == (1, info.residual)
         rc = main(
             ["abp", "--input", str(out), "--f", "1", "--lambda", "1", "--Lambda", "1"]
         )
@@ -144,7 +155,9 @@ class TestSubcommands:
              "--g", "0.02*x1 - 0.01*x2", "--out", str(out)]
         )
         assert rc == 0
-        capsys.readouterr()
+        rec = json.loads(capsys.readouterr().out)
+        # Picard steps taken and the size of the last update
+        assert rec["iterations"] >= 1 and 0.0 <= rec["residual"] < 1e-9
         g = read_grid(out)
         exact = np.array([0.02 * p[0] - 0.01 * p[1] for p in g.points()]).reshape(g.shape)
         assert np.max(np.abs(g.values - exact)) < 1e-9
@@ -160,6 +173,16 @@ class TestExitCodes:
         assert rc == 3
         rec = json.loads(capsys.readouterr().out)
         assert rec["kind"] == "error" and rec["error"] == "ParameterError"
+
+    @pytest.mark.parametrize("g", ["1/0", "x1^0.5"])
+    def test_boundary_expression_without_real_value_is_3(self, tmp_path, capsys, g):
+        rc = main(
+            ["solve", "--eq", "ma", "--box=-1,1", "--h", "0.5", "--f", "1",
+             "--g", g, "--out", str(tmp_path / "u.grid")]
+        )
+        assert rc == 3
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["kind"] == "error" and rec["error"] == "InvalidInputError"
 
     def test_success_is_0(self, capsys):
         assert main(["fixtures", "list"]) == 0

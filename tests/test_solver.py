@@ -9,6 +9,7 @@ from nelliptic.errors import (
     ParameterError,
     SmallDataError,
 )
+from nelliptic import solver
 from nelliptic.grid import GridFunction
 from nelliptic.operators import OperatorSpec
 from nelliptic.solver import (
@@ -34,19 +35,19 @@ class TestLinear:
     def test_harmonic_quadratic_reproduced(self):
         f = grid_const(0.0)
         g = lambda x: x[0] ** 2 - x[1] ** 2
-        u = solve_linear(np.eye(2), None, f, g)
+        u, _ = solve_linear(np.eye(2), None, f, g)
         exact = np.array([g(p) for p in u.points()]).reshape(u.shape)
         assert np.max(np.abs(u.values - exact)) < 1e-10
 
     def test_poisson_sign(self):
-        u = solve_linear(np.eye(2), None, grid_const(1.0), 0.0)
+        u, _ = solve_linear(np.eye(2), None, grid_const(1.0), 0.0)
         imin = np.unravel_index(np.argmin(u.values), u.shape)
         center = (u.shape[0] // 2, u.shape[1] // 2)
         assert imin == center and u.values[center] < 0
 
     def test_affine_exact(self):
         g = lambda x: 3 * x[0] - x[1] + 0.5
-        u = solve_linear(np.diag([1.0, 2.0]), None, grid_const(0.0), g)
+        u, _ = solve_linear(np.diag([1.0, 2.0]), None, grid_const(0.0), g)
         exact = np.array([g(p) for p in u.points()]).reshape(u.shape)
         assert np.max(np.abs(u.values - exact)) < 1e-10
 
@@ -54,7 +55,7 @@ class TestLinear:
         # upwind first differences are exact on affine data
         b = [0.4, -0.3]
         g = lambda x: 3 * x[0] - x[1] + 0.5
-        u = solve_linear(np.diag([1.0, 2.0]), b, grid_const(b[0] * 3 + b[1] * -1), g)
+        u, _ = solve_linear(np.diag([1.0, 2.0]), b, grid_const(b[0] * 3 + b[1] * -1), g)
         exact = np.array([g(p) for p in u.points()]).reshape(u.shape)
         assert np.max(np.abs(u.values - exact)) < 1e-10
 
@@ -63,7 +64,7 @@ class TestLinear:
         A = np.array([[1.0, 0.4], [0.4, 1.0]])
         g = lambda x: x[0] * x[1]
         fval = 2 * A[0, 1]  # tr(A D^2 u) for u = x1 x2
-        u = solve_linear(A, None, grid_const(fval), g)
+        u, _ = solve_linear(A, None, grid_const(fval), g)
         exact = np.array([g(p) for p in u.points()]).reshape(u.shape)
         assert np.max(np.abs(u.values - exact)) < 1e-9
 
@@ -73,8 +74,8 @@ class TestLinear:
         f1 = GridFunction.from_box([-1, -1], [1, 1], h)
         f1.values[:] = rng.uniform(0.2, 0.6, size=f1.shape)
         f2 = GridFunction(2, f1.shape, f1.origin, h, f1.values - rng.uniform(0, 0.2, size=f1.shape))
-        u1 = solve_linear(np.eye(2), None, f1, lambda x: 0.1 * x[0])
-        u2 = solve_linear(np.eye(2), None, f2, lambda x: 0.1 * x[0] + 0.3)
+        u1, _ = solve_linear(np.eye(2), None, f1, lambda x: 0.1 * x[0])
+        u2, _ = solve_linear(np.eye(2), None, f2, lambda x: 0.1 * x[0] + 0.3)
         assert np.all(u1.values <= u2.values + 1e-8)
 
     def test_anisotropy_rejected(self):
@@ -90,21 +91,21 @@ class TestLinear:
 class TestPucci:
     def test_degenerate_parameters_match_linear(self):
         f = grid_const(1.0)
-        lin = solve_linear(np.eye(2), None, f, 0.0)
+        lin, _ = solve_linear(np.eye(2), None, f, 0.0)
         cfg = SolveConfig(stencil_directions=2, tol=1e-11)
-        puc = solve_pucci(1.0, 1.0, "minus", f, 0.0, cfg)
+        puc, _ = solve_pucci(1.0, 1.0, "minus", f, 0.0, cfg)
         assert np.max(np.abs(puc.values - lin.values)) < 1e-9
 
     def test_maximum_principle(self):
         g = lambda x: 0.2 + 0.1 * x[0]
-        u = solve_pucci(0.5, 2.0, "minus", grid_const(0.0), g)
+        u, _ = solve_pucci(0.5, 2.0, "minus", grid_const(0.0), g)
         assert u.values.min() >= -1e-6
 
     def test_plus_dominates_minus(self):
         g = lambda x: 0.1 * x[0] ** 2
         f = grid_const(0.5)
-        up = solve_pucci(0.5, 2.0, "plus", f, g)
-        um = solve_pucci(0.5, 2.0, "minus", f, g)
+        up, _ = solve_pucci(0.5, 2.0, "plus", f, g)
+        um, _ = solve_pucci(0.5, 2.0, "minus", f, g)
         assert np.all(up.values >= um.values - 1e-8)
 
     def test_comparison_principle(self):
@@ -116,8 +117,8 @@ class TestPucci:
         f2 = GridFunction(2, base_f.shape, base_f.origin, h, base_f.values - rng.uniform(0, 0.3, size=base_f.shape))
         g1 = lambda x: 0.1 * x[0]
         g2 = lambda x: 0.1 * x[0] + 0.2
-        u1 = solve_pucci(0.5, 1.5, "minus", base_f, g1)
-        u2 = solve_pucci(0.5, 1.5, "minus", f2, g2)
+        u1, _ = solve_pucci(0.5, 1.5, "minus", base_f, g1)
+        u2, _ = solve_pucci(0.5, 1.5, "minus", f2, g2)
         assert np.all(u1.values <= u2.values + 1e-8)
 
     def test_parameter_validation(self):
@@ -142,18 +143,18 @@ class TestPucci:
 
 class TestMongeAmpere:
     def test_isotropic_quadratic_exact(self):
-        u = solve_monge_ampere(grid_const(1.0), lambda x: 0.5 * (x @ x))
+        u, _ = solve_monge_ampere(grid_const(1.0), lambda x: 0.5 * (x @ x))
         exact = np.array([0.5 * (p @ p) for p in u.points()]).reshape(u.shape)
         assert np.max(np.abs(u.values - exact)) < 1e-8
 
     def test_scaled_quadratic_exact(self):
-        u = solve_monge_ampere(grid_const(4.0), lambda x: x @ x)
+        u, _ = solve_monge_ampere(grid_const(4.0), lambda x: x @ x)
         exact = np.array([p @ p for p in u.points()]).reshape(u.shape)
         assert np.max(np.abs(u.values - exact)) < 1e-8
 
     def test_aligned_anisotropic_quadratic_exact(self):
         g = lambda x: 0.5 * (x[0] ** 2 + 4 * x[1] ** 2)
-        u = solve_monge_ampere(grid_const(4.0), g)
+        u, _ = solve_monge_ampere(grid_const(4.0), g)
         exact = np.array([g(p) for p in u.points()]).reshape(u.shape)
         assert np.max(np.abs(u.values - exact)) < 1e-8
 
@@ -163,13 +164,13 @@ class TestMongeAmpere:
         errs = []
         for h in (1 / 8, 1 / 16, 1 / 32):
             f = GridFunction.from_box([-1, -1], [1, 1], h, fn=ffn)
-            u = solve_monge_ampere(f, uex, SolveConfig(tol=1e-10, max_iters=120))
+            u, _ = solve_monge_ampere(f, uex, SolveConfig(tol=1e-10, max_iters=120))
             exact = np.array([uex(p) for p in u.points()]).reshape(u.shape)
             errs.append(np.max(np.abs(u.values - exact)))
         assert errs[0] > errs[1] > errs[2]
 
     def test_discrete_convexity_along_stencil(self):
-        u = solve_monge_ampere(grid_const(1.0), lambda x: 0.5 * (x @ x) + 0.05 * x[0])
+        u, _ = solve_monge_ampere(grid_const(1.0), lambda x: 0.5 * (x @ x) + 0.05 * x[0])
         v = u.values
         assert np.all(v[:-2, :] + v[2:, :] - 2 * v[1:-1, :] >= -1e-9)
         assert np.all(v[:, :-2] + v[:, 2:] - 2 * v[:, 1:-1] >= -1e-9)
@@ -181,8 +182,8 @@ class TestMongeAmpere:
         f1 = GridFunction.from_box([-1, -1], [1, 1], h)
         f1.values[:] = rng.uniform(1.0, 2.0, size=f1.shape)
         f2 = GridFunction(2, f1.shape, f1.origin, h, f1.values - rng.uniform(0, 0.5, size=f1.shape))
-        u1 = solve_monge_ampere(f1, lambda x: 0.5 * (x @ x))
-        u2 = solve_monge_ampere(f2, lambda x: 0.5 * (x @ x) + 0.1)
+        u1, _ = solve_monge_ampere(f1, lambda x: 0.5 * (x @ x))
+        u2, _ = solve_monge_ampere(f2, lambda x: 0.5 * (x @ x) + 0.1)
         assert np.all(u1.values <= u2.values + 1e-8)
 
     def test_inadmissible_f_rejected(self):
@@ -197,7 +198,7 @@ class TestMongeAmpere:
         g = lambda x: 0.5 * (x[0] ** 2 + 4 * x[1] ** 2)
         prods = []
         for h in (1 / 16, 1 / 32):
-            u = solve_monge_ampere(grid_const(1.0, h=h), g, SolveConfig(tol=1e-10))
+            u, _ = solve_monge_ampere(grid_const(1.0, h=h), g, SolveConfig(tol=1e-10))
             imin = np.unravel_index(np.argmin(u.values), u.shape)
             x0 = u.points().reshape(u.shape + (2,))[imin]
             for hs in (0.01, 0.02):
@@ -206,16 +207,46 @@ class TestMongeAmpere:
         assert max(prods) / min(prods) <= 1.6
 
 
+class TestFallback:
+    # f is the scheme's value on the Hessian diag(a, b) of the boundary data
+    @pytest.mark.parametrize(
+        "solve, a, b, fval",
+        [
+            (lambda f, g: solve_pucci(0.5, 2.0, "minus", f, g), 1.3, -0.4, 0.5 * 1.3 - 2.0 * 0.4),
+            (lambda f, g: solve_pucci(0.5, 2.0, "plus", f, g), 1.1, -0.6, 2.0 * 1.1 - 0.5 * 0.6),
+            (solve_monge_ampere, 1.0, 4.0, 4.0),
+        ],
+        ids=["pucci-minus", "pucci-plus", "ma"],
+    )
+    def test_sweeps_then_newton_reach_aligned_quadratic(self, monkeypatch, solve, a, b, fval):
+        # the first two Newton linear solves after the initial iterate fail, so
+        # two rounds of fallback sweeps run before Newton finishes the solve
+        real, calls = solver.spla.spsolve, []
+
+        def flaky(*args, **kwargs):
+            calls.append(1)
+            if len(calls) in (2, 3):
+                raise RuntimeError("forced factorization failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver.spla, "spsolve", flaky)
+        g = lambda x: 0.5 * (a * x[0] ** 2 + b * x[1] ** 2) + 0.1 * x[0]
+        u, info = solve(grid_const(fval, h=1 / 8), g)
+        exact = np.array([g(p) for p in u.points()]).reshape(u.shape)
+        assert info.fallbacks == 2
+        assert np.max(np.abs(u.values - exact)) < 1e-8
+
+
 class TestMeanCurvature:
     def test_affine_exact(self):
         g = lambda x: 0.3 * x[0] + 0.1 * x[1] + 0.2
-        u = solve_mean_curvature(grid_const(0.0), g)
+        u, _ = solve_mean_curvature(grid_const(0.0), g)
         exact = np.array([g(p) for p in u.points()]).reshape(u.shape)
         assert np.max(np.abs(u.values - exact)) < 1e-10
 
     def test_small_bump_converges(self):
         g = lambda x: 0.05 * math.sin(2 * x[0]) * math.cos(x[1])
-        u = solve_mean_curvature(grid_const(0.0), g)
+        u, _ = solve_mean_curvature(grid_const(0.0), g)
         # gradient stays small in the small-data regime
         du = np.gradient(u.values, u.spacing)
         assert max(np.max(np.abs(du[0])), np.max(np.abs(du[1]))) < 0.5
@@ -239,7 +270,7 @@ class TestResidual:
         # the 5-point scheme coincides with the central-difference jet, so the
         # operator residual matches the scheme residual
         f = GridFunction.from_box([-1, -1], [1, 1], H, fn=lambda x: math.sin(x[0]))
-        u = solve_linear(np.eye(2), None, f, 0.0)
+        u, _ = solve_linear(np.eye(2), None, f, 0.0)
         r = residual(OperatorSpec.linear(np.eye(2)), u, f)
         assert np.max(np.abs(r.values)) < 1e-9
 
