@@ -22,6 +22,7 @@ from .operators import (
     eigenvalues_sym,
     ellipticity_probe,
     evaluate,
+    evaluate_many,
     is_k_admissible,
     pucci,
     shift,

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import fixtures as fixtures_mod
 from . import geometry, regularity, solver
-from .errors import InvalidInputError, NellipticError, ParameterError
+from .errors import InvalidInputError, NellipticError, ParameterError, SingularityError
 from .grid import GridFunction, read_grid, write_grid
 from .operators import (
     DEFAULT_PROBE_RHO,
@@ -428,7 +428,10 @@ def _cmd_fixtures(args):
         if not fix.is_singular(x, order=2):
             rec["hess"] = [[float(v) for v in row] for row in fix.hess(x)]
         if fix.rhs_fn is not None:
-            rec["rhs"] = fix.rhs(x)
+            try:
+                rec["rhs"] = fix.rhs(x)
+            except SingularityError:
+                pass
         _emit(rec, "fixtures", _config_of(args, ["action", "fixture", "point"]))
         return 0
     raise ParameterError("fixtures action must be list or eval")

@@ -18,7 +18,14 @@ class ParameterError(NellipticError):
 
 
 class SingularEvaluationError(NellipticError):
-    """Operator evaluation hit a singularity (e.g. sigma_l = 0 in a quotient)."""
+    """Operator evaluation hit a singularity (e.g. sigma_l = 0 in a quotient).
+
+    In a batched evaluation, index is the flat (C-order) position of the
+    first singular jet."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class ProbeDomainError(NellipticError):

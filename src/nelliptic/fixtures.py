@@ -90,7 +90,17 @@ class AnalyticFunction:
     def rhs(self, x):
         if self.rhs_fn is None:
             raise ParameterError("%s: no right-hand side declared" % self.name)
-        return float(self.rhs_fn(np.atleast_1d(np.asarray(x, dtype=float))))
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        try:
+            return float(self.rhs_fn(x))
+        except ZeroDivisionError:
+            # f = F(D^2 u, ...) may extend continuously onto the singular set
+            # of D^2 u (slag, hq), but not where its closed form divides by 0
+            if not self.is_singular(x, order=2):
+                raise
+            raise SingularityError(
+                "%s: right-hand side singular at %s" % (self.name, x.tolist())
+            ) from None
 
     def is_singular(self, x, order=2) -> bool:
         if order <= 0 or self.singular_fn is None:

@@ -133,8 +133,11 @@ def write_grid(g: GridFunction, path) -> None:
 
 
 def read_grid(path) -> GridFunction:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except OSError as exc:
+        raise InvalidInputError("cannot read grid file %s: %s" % (path, exc.strerror)) from exc
     if not lines or lines[0] != "nelliptic-grid v1":
         raise InvalidInputError("not a nelliptic-grid v1 file: %s" % path)
     header = {}

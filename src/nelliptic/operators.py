@@ -68,25 +68,12 @@ class SymMatrix:
     def diag(values) -> "SymMatrix":
         return SymMatrix.from_full(np.diag(np.asarray(values, dtype=float)))
 
-    @staticmethod
-    def zero(n: int) -> "SymMatrix":
-        return SymMatrix(n, (0.0,) * (n * (n + 1) // 2))
-
-    @staticmethod
-    def identity(n: int) -> "SymMatrix":
-        return SymMatrix.from_full(np.eye(n))
-
     def full(self) -> np.ndarray:
         n = self.dim
         a = np.zeros((n, n))
         iu = np.triu_indices(n)
         a[iu] = self.entries
         return a + np.triu(a, 1).T
-
-    def norm(self) -> float:
-        """Spectral radius |M| = max |eigenvalue|."""
-        ev = eigenvalues_sym(self)
-        return max(abs(ev[0]), abs(ev[-1]))
 
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         if other.dim != self.dim:
@@ -122,81 +109,50 @@ class Jet:
 
 
 # ---------------------------------------------------------------------------
-# eigenvalues: cyclic Jacobi (n <= 8 in practice, robust to machine tolerance)
+# eigenvalues (LAPACK, on single matrices and on stacks)
 
 
-def eigenvalues_sym(M, vectors=False, max_sweeps=100):
-    """Ascending eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+def eigenvalues_sym(M, vectors=False):
+    """Ascending eigenvalues of a symmetric matrix or a stack M[..., n, n].
 
     With vectors=True also returns the orthogonal Q (columns = eigenvectors)
     with reconstruction residual ||Q diag Q^T - M|| <= 1e-12 * max(1, |M|).
     """
-    a = M.full() if isinstance(M, SymMatrix) else np.array(M, dtype=float)
+    a = M.full() if isinstance(M, SymMatrix) else np.asarray(M, dtype=float)
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("non-finite entry in eigenvalues_sym input")
-    a = (a + a.T) / 2.0
-    n = a.shape[0]
-    q = np.eye(n)
-    if n == 1:
-        return (np.array([a[0, 0]]), q) if vectors else np.array([a[0, 0]])
-
-    for _ in range(max_sweeps):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += a[i, j] * a[i, j]
-        scale = max(1.0, float(np.max(np.abs(np.diag(a)))))
-        if math.sqrt(2.0 * off) <= 1e-15 * scale:
-            break
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                apq = a[i, j]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                app, aqq = a[i, i], a[j, j]
-                theta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_i = c * a[:, i] - s * a[:, j]
-                rot_j = s * a[:, i] + c * a[:, j]
-                a[:, i], a[:, j] = rot_i, rot_j
-                a[i, :], a[j, :] = a[:, i].copy(), a[:, j].copy()
-                a[i, i] = c * c * app - 2.0 * s * c * apq + s * s * aqq
-                a[j, j] = s * s * app + 2.0 * s * c * apq + c * c * aqq
-                a[i, j] = a[j, i] = 0.0
-                qi = c * q[:, i] - s * q[:, j]
-                qj = s * q[:, i] + c * q[:, j]
-                q[:, i], q[:, j] = qi, qj
-
-    ev = np.diag(a).copy()
-    order = np.argsort(ev, kind="stable")
-    ev = ev[order]
-    if vectors:
-        return ev, q[:, order]
-    return ev
+    a = (a + np.swapaxes(a, -1, -2)) / 2.0
+    return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
 
 
 def elementary_symmetric(values, k_max=None):
-    """e_0..e_k of the given scalars via the stable product recurrence."""
+    """e_0..e_k of the scalars on the last axis via the stable product
+    recurrence."""
     values = np.asarray(values, dtype=float)
-    n = len(values)
+    n = values.shape[-1]
     k_max = n if k_max is None else k_max
-    e = np.zeros(k_max + 1)
-    e[0] = 1.0
-    for lam in values:
-        top = min(k_max, n)
+    e = np.zeros(values.shape[:-1] + (k_max + 1,))
+    e[..., 0] = 1.0
+    top = min(k_max, n)
+    for i in range(n):
+        lam = values[..., i]
         for j in range(top, 0, -1):
-            e[j] += lam * e[j - 1]
+            e[..., j] += lam * e[..., j - 1]
     return e
 
 
-def sigma_k(M, k: int) -> float:
+def _at_matrices(op, M):
+    """op at the Hessian-only jets (M, 0, 0, 0): a float for one matrix, an
+    array for a stack."""
+    a = M.full() if isinstance(M, SymMatrix) else np.asarray(M, dtype=float)
+    zero = np.zeros(a.shape[-1])
+    val = evaluate_many(op, a, zero, 0.0, zero)
+    return float(val) if val.ndim == 0 else val
+
+
+def sigma_k(M, k: int):
     """k-th elementary symmetric function of the eigenvalues."""
-    ev = eigenvalues_sym(M)
-    if not 1 <= k <= len(ev):
-        raise ParameterError("sigma_k requires 1 <= k <= n")
-    return float(elementary_symmetric(ev, k)[k])
+    return _at_matrices(OperatorSpec.sigma(k), M)
 
 
 def is_k_admissible(M, k: int) -> bool:
@@ -213,8 +169,9 @@ def is_k_admissible(M, k: int) -> bool:
 # Pucci extremal operators
 
 
-def pucci(M, lam: float, Lam: float, sign: str) -> float:
-    """Pucci extremal operator of M with ellipticity constants (lam, Lam).
+def pucci(M, lam: float, Lam: float, sign: str):
+    """Pucci extremal operator of M (one matrix or a stack) with ellipticity
+    constants (lam, Lam).
 
     plus:  M+ = Lam * sum(ev > 0) + lam * sum(ev < 0)
     minus: M- = lam * sum(ev > 0) + Lam * sum(ev < 0)
@@ -223,27 +180,12 @@ def pucci(M, lam: float, Lam: float, sign: str) -> float:
         raise ParameterError("pucci requires 0 < lambda <= Lambda")
     if sign not in ("plus", "minus"):
         raise ParameterError("pucci sign must be 'plus' or 'minus'")
-    ev = eigenvalues_sym(M)
-    pos = float(ev[ev > 0].sum())
-    neg = float(ev[ev < 0].sum())
-    if sign == "plus":
-        return Lam * pos + lam * neg
-    return lam * pos + Lam * neg
+    family = "pucci+" if sign == "plus" else "pucci-"
+    return _at_matrices(OperatorSpec(family, (lam, Lam)), M)
 
 
 # ---------------------------------------------------------------------------
 # operator specs
-
-_FAMILIES = (
-    "pucci+",
-    "pucci-",
-    "linear",
-    "mc",
-    "ma",
-    "sigma",
-    "quotient",
-    "slag",
-)
 
 # probe radii used when the caller does not fix rho; cone families stay well
 # inside the admissible set once shifted by |x|^2/2
@@ -256,6 +198,20 @@ DEFAULT_PROBE_RHO = {
     "sigma": 0.5,
     "quotient": 0.5,
     "slag": 1.0,
+}
+
+
+# text form of each family's spec: one colon per parameter (linear's b and c
+# are optional)
+_SPEC_SYNTAX = {
+    "pucci+": "pucci+:<lambda>:<Lambda>",
+    "pucci-": "pucci-:<lambda>:<Lambda>",
+    "linear": "linear:<A>[:<b>:<c>]",
+    "mc": "mc",
+    "ma": "ma",
+    "sigma": "sigma:<k>",
+    "quotient": "quotient:<k>:<l>",
+    "slag": "slag",
 }
 
 
@@ -272,7 +228,7 @@ class OperatorSpec:
     offset: float = 0.0
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in _SPEC_SYNTAX:
             raise ParameterError("unknown operator family %r" % (self.family,))
         if self.family in ("pucci+", "pucci-"):
             lam, Lam = self.params
@@ -348,88 +304,108 @@ class OperatorSpec:
         """Parse the flag syntax: pucci+:1:2, sigma:2, quotient:3:1, mc, ma,
         slag, linear:<upper triangle>[:<b>:<c>]."""
         parts = text.strip().split(":")
-        name = parts[0]
-        if name in ("mc", "ma", "slag"):
-            if len(parts) != 1:
-                raise ParameterError("%s takes no parameters" % name)
-            return OperatorSpec(name)
-        if name in ("pucci+", "pucci-"):
-            if len(parts) != 3:
-                raise ParameterError("pucci spec is pucci+:<lambda>:<Lambda>")
-            return OperatorSpec(name, (float(parts[1]), float(parts[2])))
-        if name == "sigma":
-            return OperatorSpec("sigma", (int(parts[1]),))
-        if name == "quotient":
-            return OperatorSpec("quotient", (int(parts[1]), int(parts[2])))
-        if name == "linear":
-            if len(parts) not in (2, 4):
-                raise ParameterError("linear spec is linear:<A>[:<b>:<c>]")
-            tri = [float(v) for v in parts[1].split(",")]
-            m = len(tri)
-            n = int(round((math.sqrt(8 * m + 1) - 1) / 2))
-            if n * (n + 1) // 2 != m:
-                raise ParameterError("linear matrix needs n(n+1)/2 entries")
-            A = SymMatrix(n, tuple(tri))
-            b = None
-            c = 0.0
-            if len(parts) == 4:
-                b = [float(v) for v in parts[2].split(",")]
-                c = float(parts[3])
-            return OperatorSpec.linear(A, b, c)
-        raise ParameterError("unknown operator spec %r" % text)
+        name, args = parts[0], parts[1:]
+        if name not in _SPEC_SYNTAX:
+            raise ParameterError("unknown operator spec %r" % text)
+        usage = ParameterError("operator spec %r: expected %s" % (text, _SPEC_SYNTAX[name]))
+        arity = _SPEC_SYNTAX[name].count(":")
+        if len(args) != arity and not (name == "linear" and len(args) == 1):
+            raise usage
+        try:
+            if name == "linear":
+                tri, b, c = [float(v) for v in args[0].split(",")], None, 0.0
+                if len(args) == 3:
+                    b, c = [float(v) for v in args[1].split(",")], float(args[2])
+            elif name in ("sigma", "quotient"):
+                params = tuple(int(v) for v in args)
+            else:
+                params = tuple(float(v) for v in args)
+        except ValueError:
+            raise usage from None
+        if name != "linear":
+            return OperatorSpec(name, params)
+        m = len(tri)
+        n = int(round((math.sqrt(8 * m + 1) - 1) / 2))
+        if n * (n + 1) // 2 != m:
+            raise ParameterError("linear matrix needs n(n+1)/2 entries")
+        if b is not None and len(b) != n:
+            raise ParameterError("linear drift needs n = %d entries" % n)
+        return OperatorSpec.linear(SymMatrix(n, tuple(tri)), b, c)
 
 
-def _base_value(op: OperatorSpec, M: SymMatrix, p, s, x) -> float:
+def _shift_jet(P, x):
+    """D^2P, DP and P at the points x[..., n] of a polynomial of degree <= 2,
+    from its Taylor data at the origin."""
+    zero = np.zeros(P.dim)
+    H, g = P.hessian(zero), P.gradient(zero)
+    Hx = np.sum(x[..., None, :] * H, axis=-1)
+    return H, g + Hx, P(zero) + np.sum(x * g, axis=-1) + 0.5 * np.sum(x * Hx, axis=-1)
+
+
+def evaluate_many(op: OperatorSpec, M, p, s, x) -> np.ndarray:
+    """F at a stack of jets: M[..., n, n], p[..., n], s[...] and x[..., n]
+    broadcast against each other, and the result has their batch shape.
+
+    Shifted specs translate the jets first and subtract the stored offset.
+    A singular quotient raises SingularEvaluationError with the flat index of
+    the first singular jet."""
+    M = np.asarray(M, dtype=float)
+    p, s, x = (np.asarray(a, dtype=float) for a in (p, s, x))
+    n = M.shape[-1]
+    if M.shape[-2] != n or p.shape[-1] != n or x.shape[-1] != n:
+        raise InvalidInputError("jet components must share dimension n")
+    if not np.all(np.isfinite(M)):
+        raise InvalidInputError("non-finite entry in a jet Hessian")
+    shape = np.broadcast_shapes(M.shape[:-2], p.shape[:-1], s.shape, x.shape[:-1])
+    M = (M + np.swapaxes(M, -1, -2)) / 2.0
+    if op.shift_poly is not None:
+        if op.shift_poly.dim != n:
+            raise InvalidInputError("shift polynomial dimension mismatch")
+        H, grad, val = _shift_jet(op.shift_poly, x)
+        M, p, s = M + H, p + grad, s + val
+    M = np.broadcast_to(M, shape + (n, n))
+
     fam = op.family
-    if fam == "pucci+":
-        return pucci(M, op.params[0], op.params[1], "plus")
-    if fam == "pucci-":
-        return pucci(M, op.params[0], op.params[1], "minus")
     if fam == "linear":
-        a = op.linear_A.full()
-        m = M.full()
-        return float(np.sum(a * m) + np.dot(op.linear_b, p) + op.linear_c * s)
-    if fam == "mc":
-        pv = np.asarray(p, dtype=float)
-        w2 = 1.0 + float(pv @ pv)
-        w = math.sqrt(w2)
-        m = M.full()
-        coeff = (np.eye(M.dim) - np.outer(pv, pv) / w2) / w
-        return float(np.sum(coeff * m))
-    ev = eigenvalues_sym(M)
-    if fam == "ma":
-        return float(np.prod(ev))
-    if fam == "sigma":
-        (k,) = op.params
-        if k > M.dim:
-            raise ParameterError("sigma_k requires k <= n")
-        return float(elementary_symmetric(ev, k)[k])
-    if fam == "quotient":
-        k, l = op.params
-        if k > M.dim:
-            raise ParameterError("quotient requires k <= n")
-        e = elementary_symmetric(ev, k)
-        if abs(e[l]) < 1e-300:
-            raise SingularEvaluationError("sigma_l vanishes at the evaluation jet")
-        return float(e[k] / e[l])
-    if fam == "slag":
-        return float(np.sum(np.arctan(ev)))
-    raise ParameterError("unknown family %r" % fam)
+        A = op.linear_A.full()
+        out = np.sum(A * M, axis=(-2, -1)) + np.sum(p * op.linear_b, axis=-1) + op.linear_c * s
+    elif fam == "mc":
+        w2 = 1.0 + np.sum(p * p, axis=-1)
+        outer = p[..., :, None] * p[..., None, :] / w2[..., None, None]
+        coeff = (np.eye(n) - outer) / np.sqrt(w2)[..., None, None]
+        out = np.sum(coeff * M, axis=(-2, -1))
+    else:
+        ev = eigenvalues_sym(M)
+        if fam in ("pucci+", "pucci-"):
+            lam, Lam = op.params
+            pos = np.sum(np.where(ev > 0, ev, 0.0), axis=-1)
+            neg = np.sum(np.where(ev < 0, ev, 0.0), axis=-1)
+            out = Lam * pos + lam * neg if fam == "pucci+" else lam * pos + Lam * neg
+        elif fam == "ma":
+            out = np.prod(ev, axis=-1)
+        elif fam == "slag":
+            out = np.sum(np.arctan(ev), axis=-1)
+        else:
+            k = op.params[0]
+            if k > n:
+                raise ParameterError("%s requires k <= n" % fam)
+            e = elementary_symmetric(ev, k)
+            out = e[..., k]
+            if fam == "quotient":
+                zero = np.abs(e[..., op.params[1]]) < 1e-300
+                if zero.any():
+                    raise SingularEvaluationError(
+                        "sigma_l vanishes at the evaluation jet",
+                        index=int(np.flatnonzero(zero)[0]),
+                    )
+                out = out / e[..., op.params[1]]
+    return np.broadcast_to(out - op.offset, shape)
 
 
 def evaluate(op: OperatorSpec, jet: Jet) -> float:
     """Evaluate F at the jet; shifted specs translate the jet first and
     subtract the stored offset."""
-    M, p, s, x = jet.M, jet.p, jet.s, jet.x
-    if op.shift_poly is not None:
-        P = op.shift_poly
-        if P.dim != M.dim:
-            raise InvalidInputError("shift polynomial dimension mismatch")
-        xv = np.asarray(x, dtype=float)
-        M = M + SymMatrix.from_full(P.hessian(xv))
-        p = tuple(np.asarray(p, dtype=float) + P.gradient(xv))
-        s = s + P(xv)
-    return _base_value(op, M, p, s, x) - op.offset
+    return float(evaluate_many(op, jet.M.full(), jet.p, jet.s, jet.x))
 
 
 def shift(op: OperatorSpec, P, normalize_origin: bool = False) -> OperatorSpec:
@@ -446,8 +422,7 @@ def shift(op: OperatorSpec, P, normalize_origin: bool = False) -> OperatorSpec:
     offset = 0.0
     if normalize_origin:
         z = np.zeros(P.dim)
-        jet0 = Jet.make(SymMatrix.from_full(P.hessian(z)), P.gradient(z), P(z), z)
-        offset = _base_value(op, jet0.M, jet0.p, jet0.s, jet0.x)
+        offset = float(evaluate_many(op, P.hessian(z), P.gradient(z), P(z), z))
     return OperatorSpec(
         op.family,
         op.params,
@@ -512,61 +487,57 @@ def _halton(index: int, dim: int) -> np.ndarray:
     return out
 
 
-def _shifted_matrix(op: OperatorSpec, M: SymMatrix, x) -> SymMatrix:
-    if op.shift_poly is None:
-        return M
-    return M + SymMatrix.from_full(op.shift_poly.hessian(np.asarray(x, dtype=float)))
-
-
-def _admissible(op: OperatorSpec, M: SymMatrix, x, margin: float) -> bool:
-    """Sample filter: the (shifted) matrix must sit strictly inside the cone
-    where the family is elliptic (Gamma_k for sigma/quotient, positive
-    matrices for det)."""
+def _admissible(op: OperatorSpec, M, margin: float):
+    """Sample filter on M[..., n, n]: the (shifted) matrix must sit strictly
+    inside the cone where the family is elliptic (Gamma_k for
+    sigma/quotient, positive matrices for det)."""
     fam = op.family
     if fam not in ("ma", "sigma", "quotient"):
         return True
-    Ms = _shifted_matrix(op, M, x)
-    ev = eigenvalues_sym(Ms)
+    if op.shift_poly is not None:
+        M = M + op.shift_poly.hessian(np.zeros(M.shape[-1]))
+    ev = eigenvalues_sym(M)
     if fam == "ma":
-        return bool(ev[0] > margin)
-    k = op.params[0]
-    e = elementary_symmetric(ev, k)
-    return bool(np.all(e[1 : k + 1] > margin))
+        return ev[..., 0] > margin
+    e = elementary_symmetric(ev, op.params[0])
+    return np.all(e[..., 1:] > margin, axis=-1)
 
 
-def _sample_sym(tri_unit: np.ndarray, n: int, radius: float) -> SymMatrix:
+def _norms(M) -> np.ndarray:
+    """Spectral radii of a stack of symmetric matrices."""
+    return np.max(np.abs(eigenvalues_sym(M)), axis=-1)
+
+
+def _sample_sym(tri_unit: np.ndarray, n: int, radius: float) -> np.ndarray:
     """Map a low-discrepancy cube point to a symmetric matrix with spectral
     radius equal to the requested radius."""
-    tri = 2.0 * tri_unit - 1.0
-    A = SymMatrix(n, tuple(tri))
-    nrm = A.norm()
+    A = SymMatrix(n, tuple(2.0 * tri_unit - 1.0)).full()
+    nrm = _norms(A)
     if nrm < 1e-14:
-        return SymMatrix.zero(n)
-    return A.scaled(radius / nrm)
+        return np.zeros((n, n))
+    return (radius / nrm) * A
 
 
-def _dmf(op: OperatorSpec, M: SymMatrix, p, s, x) -> np.ndarray:
-    """Central-difference D_M F as a symmetric matrix (shift-aware).
+def _dmf(op: OperatorSpec, M, p, s, x) -> np.ndarray:
+    """Central-difference D_M F at the jets M[J, n, n], p[J, n], s[J]
+    (shift-aware), as symmetric matrices [J, n, n].
 
     Entry (i,j) is the derivative along the symmetrized basis matrix
     (e_i e_j^T + e_j e_i^T)/2, which matches the gradient convention in
-    dF(M)[N] = tr(D_M F N)."""
-    n = M.dim
-    h = 1e-5 * max(1.0, M.norm())
-    base = M.full()
-    out = np.zeros((n, n))
-    jet = lambda A: Jet(SymMatrix.from_full(A), tuple(p), float(s), tuple(x))
-    for i in range(n):
-        for j in range(i, n):
-            E = np.zeros((n, n))
-            if i == j:
-                E[i, i] = 1.0
-            else:
-                E[i, j] = E[j, i] = 0.5
-            fp = evaluate(op, jet(base + h * E))
-            fm = evaluate(op, jet(base - h * E))
-            out[i, j] = out[j, i] = (fp - fm) / (2.0 * h)
-    return out
+    dF(M)[N] = tr(D_M F N). The evaluations are laid out jet by jet, entry
+    by entry, + before -, so a flat error index divided by 2 n(n+1)/2 is
+    the jet's index."""
+    n = M.shape[-1]
+    iu = np.triu_indices(n)
+    E = np.eye(n)[iu[0], :, None] * np.eye(n)[iu[1], None, :]
+    E = (E + np.swapaxes(E, -1, -2)) / 2.0
+    h = 1e-5 * np.maximum(1.0, _norms(M))
+    hE = h[:, None, None, None] * E
+    pm = np.stack([M[:, None] + hE, M[:, None] - hE], axis=2)
+    F = evaluate_many(op, pm, p[:, None, None], s[:, None, None], x)
+    G = np.empty(M.shape)
+    G[:, iu[0], iu[1]] = G[:, iu[1], iu[0]] = (F[..., 0] - F[..., 1]) / (2.0 * h[:, None])
+    return G
 
 
 def ellipticity_probe(
@@ -590,6 +561,9 @@ def ellipticity_probe(
     Cone families (det, sigma_k, quotients) reject samples whose shifted
     matrix leaves the admissible cone; probing the raw family near the cone
     tip legitimately reports a degenerate lambda_hat.
+
+    Each phase evaluates its jets in one batch; a failed evaluation raises
+    ProbeDomainError naming the first failing jet in draw order.
     """
     if rho <= 0:
         raise ParameterError("probe requires rho > 0")
@@ -597,23 +571,19 @@ def ellipticity_probe(
     m_tri = n * (n + 1) // 2
     # cube layout: matrix triangle | p direction | p radius | s | matrix radius
     dim_cube = m_tri + n + 3
+    x0 = np.zeros(n)
+    iu = np.triu_indices(n)
 
-    def value(M, p, s, x):
+    def batch(fn, M, p, s, per=1):
+        """fn(op, M, p, s, x0) on the jets M[J, n, n], p[J, n], s[J], each
+        taking ``per`` consecutive evaluations."""
         try:
-            return evaluate(op, Jet(M, tuple(p), float(s), tuple(x)))
+            return fn(op, M, p, s, x0)
         except (SingularEvaluationError, ParameterError) as exc:
+            j = (getattr(exc, "index", None) or 0) // per
             raise ProbeDomainError(
                 "operator evaluation failed inside the probe set: %s" % exc,
-                jet=(M.entries, tuple(p), float(s), tuple(x)),
-            )
-
-    def dmf(M, p, s, x):
-        try:
-            return _dmf(op, M, p, s, x)
-        except (SingularEvaluationError, ParameterError) as exc:
-            raise ProbeDomainError(
-                "operator evaluation failed inside the probe set: %s" % exc,
-                jet=(M.entries, tuple(p), float(s), tuple(x)),
+                jet=(tuple(M[j][iu]), tuple(p[j]), float(s[j]), tuple(x0)),
             )
 
     def draw(u, k):
@@ -623,11 +593,9 @@ def ellipticity_probe(
         pn = np.linalg.norm(pdir)
         pdir = pdir / pn if pn > 1e-12 else np.zeros(n)
         p_rad = rho if k % 4 == 2 else rho * u[m_tri + n]
-        p = tuple(p_rad * pdir)
         s = (2.0 * u[m_tri + n + 1] - 1.0) * rho
-        return M, p, s
+        return M, p_rad * pdir, s
 
-    x0 = (0.0,) * n
     jets = []
     idx = seed * 7919 + 1
     attempts = 0
@@ -637,60 +605,50 @@ def ellipticity_probe(
         idx += 1
         M, p, s = draw(u, len(jets))
         if len(jets) == 0:
-            M, p, s = SymMatrix.zero(n), (0.0,) * n, 0.0
-        if not _admissible(op, M, x0, margin):
+            M, p, s = np.zeros((n, n)), np.zeros(n), 0.0
+        if not _admissible(op, M, margin):
             continue
-        jets.append((M, p, s, x0))
+        jets.append((M, p, s))
 
     if len(jets) < max(8, samples // 4):
         raise ProbeDomainError("could not draw enough admissible probe jets")
+    Mj, pj, sj = (np.array(a) for a in zip(*jets))
+    J = len(jets)
 
-    derivs = []
-    lam_hat, Lam_hat = math.inf, -math.inf
-    for (M, p, s, x) in jets:
-        G = dmf(M, p, s, x)
-        ev = eigenvalues_sym(G)
-        lam_hat = min(lam_hat, float(ev[0]))
-        Lam_hat = max(Lam_hat, float(ev[-1]))
-        derivs.append((M, p, s, G))
+    G = batch(_dmf, Mj, pj, sj, per=2 * m_tri)
+    ev = eigenvalues_sym(G)
+    lam_hat, Lam_hat = float(np.min(ev[:, 0])), float(np.max(ev[:, -1]))
 
-    # gradient / value Lipschitz constants from sampled difference quotients
-    b0_hat = 0.0
-    c0_hat = 0.0
-    for k in range(min(len(jets) - 1, 64)):
-        M, p, s, x = jets[k]
-        _, p2, s2, _ = jets[k + 1]
-        base = value(M, p, s, x)
-        dp = float(np.linalg.norm(np.subtract(p2, p)))
-        if dp > 1e-9:
-            b0_hat = max(b0_hat, abs(value(M, p2, s, x) - base) / dp)
-        ds = abs(s2 - s)
-        if ds > 1e-9:
-            c0_hat = max(c0_hat, abs(value(M, p, s2, x) - base) / ds)
+    # gradient / value Lipschitz constants from sampled difference quotients:
+    # jet k against jet k with the p, then the s, of jet k + 1
+    K = min(J - 1, 64)
+    p3 = np.stack([pj[:K], pj[1 : K + 1], pj[:K]], axis=1).reshape(-1, n)
+    s3 = np.stack([sj[:K], sj[:K], sj[1 : K + 1]], axis=1).reshape(-1)
+    vals = batch(evaluate_many, np.repeat(Mj[:K], 3, axis=0), p3, s3).reshape(K, 3)
 
-    # modulus of continuity of D_M F on a dyadic distance grid
+    def lipschitz(dv, d):
+        return float(np.max(np.abs(dv[d > 1e-9]) / d[d > 1e-9], initial=0.0))
+
+    b0_hat = lipschitz(vals[:, 1] - vals[:, 0], np.linalg.norm(pj[1 : K + 1] - pj[:K], axis=-1))
+    c0_hat = lipschitz(vals[:, 2] - vals[:, 0], np.abs(sj[1 : K + 1] - sj[:K]))
+
+    # modulus of continuity of D_M F on a dyadic distance grid, over the
+    # pairs of jets less than 12 apart in draw order
     levels = 8
     radii = [2.0 * rho * 0.5**j for j in range(levels)][::-1]
-    omega = [0.0] * levels
-    for a in range(len(derivs)):
-        Ma, pa, sa, Ga = derivs[a]
-        for b in range(a + 1, min(a + 12, len(derivs))):
-            Mb, pb, sb, Gb = derivs[b]
-            dist = max(
-                (Ma + Mb.scaled(-1.0)).norm(),
-                float(np.linalg.norm(np.subtract(pa, pb))),
-                abs(sa - sb),
-            )
-            gap = SymMatrix.from_full(Ga - Gb).norm()
-            for li, r in enumerate(radii):
-                if dist <= r:
-                    omega[li] = max(omega[li], gap)
-    for li in range(1, levels):
-        omega[li] = max(omega[li], omega[li - 1])
-    modulus = list(zip(radii, omega))
+    a, b = np.triu_indices(J, 1)
+    a, b = a[b - a < 12], b[b - a < 12]
+    dist = np.maximum.reduce([
+        _norms(Mj[a] - Mj[b]),
+        np.linalg.norm(pj[a] - pj[b], axis=-1),
+        np.abs(sj[a] - sj[b]),
+    ])
+    gap = _norms(G[a] - G[b])
+    omega = np.max(np.where(dist <= np.array(radii)[:, None], gap, 0.0), axis=1)
+    modulus = list(zip(radii, np.maximum.accumulate(omega).tolist()))
 
     # Pucci-sandwich certification on matrix pairs
-    seg_fracs = (0.0, 0.25, 0.5, 0.75, 1.0)
+    seg_fracs = np.array([0.0, 0.25, 0.5, 0.75, 1.0])[:, None, None]
     pending = []
     pair_idx = (seed + 1) * 104729 + 1
     attempts = 0
@@ -701,37 +659,37 @@ def ellipticity_probe(
         pair_idx += 2
         M1 = _sample_sym(u1[:m_tri], n, rho * u1[m_tri + n + 2])
         M2 = _sample_sym(u2[:m_tri], n, rho * u2[m_tri + n + 2])
-        segs = [
-            SymMatrix.from_full((1 - t) * M1.full() + t * M2.full())
-            for t in seg_fracs
-        ]
-        if not all(_admissible(op, Ms, x0, margin) for Ms in segs):
+        segs = (1 - seg_fracs) * M1 + seg_fracs * M2
+        if not np.all(_admissible(op, segs, margin)):
             continue
         pdir = 2.0 * u1[m_tri : m_tri + n] - 1.0
         pn = np.linalg.norm(pdir)
         pdir = pdir / pn if pn > 1e-12 else np.zeros(n)
-        p = tuple(rho * u1[m_tri + n] * pdir)
+        p = rho * u1[m_tri + n] * pdir
         s = (2.0 * u2[m_tri + n + 1] - 1.0) * rho
         pending.append((M1, M2, segs, p, s))
 
-    # segment derivatives first, so the certified constants cover them
-    for M1, M2, segs, p, s in pending:
-        for Ms in segs:
-            ev = eigenvalues_sym(dmf(Ms, p, s, x0))
-            lam_hat = min(lam_hat, float(ev[0]))
-            Lam_hat = max(Lam_hat, float(ev[-1]))
-
     violations = 0
-    lam_eff = max(lam_hat - 1e-6, 0.5 * lam_hat) if lam_hat > 0 else 1e-12
-    Lam_eff = Lam_hat + 1e-6
-    for M1, M2, segs, p, s in pending:
-        N = M2 + M1.scaled(-1.0)
-        diff = value(M2, p, s, x0) - value(M1, p, s, x0)
-        tol = 1e-6 * (1.0 + N.norm())
+    if pending:
+        M1, M2, segs, pp, ps = (np.array(a) for a in zip(*pending))
+        # segment derivatives first, so the certified constants cover them
+        segs = segs.reshape(-1, n, n)
+        k = len(seg_fracs)
+        G = batch(_dmf, segs, np.repeat(pp, k, axis=0), np.repeat(ps, k), per=2 * m_tri)
+        ev = eigenvalues_sym(G)
+        lam_hat = min(lam_hat, float(np.min(ev[:, 0])))
+        Lam_hat = max(Lam_hat, float(np.max(ev[:, -1])))
+
+        lam_eff = max(lam_hat - 1e-6, 0.5 * lam_hat) if lam_hat > 0 else 1e-12
+        Lam_eff = Lam_hat + 1e-6
+        ends = np.stack([M2, M1], axis=1).reshape(-1, n, n)
+        vals = batch(evaluate_many, ends, np.repeat(pp, 2, axis=0), np.repeat(ps, 2))
+        diff = vals[0::2] - vals[1::2]
+        N = M2 - M1
+        tol = 1e-6 * (1.0 + _norms(N))
         lo = pucci(N, lam_eff, Lam_eff, "minus")
         hi = pucci(N, lam_eff, Lam_eff, "plus")
-        if diff < lo - tol or diff > hi + tol:
-            violations += 1
+        violations = int(np.count_nonzero((diff < lo - tol) | (diff > hi + tol)))
 
     notes = []
     if op.family == "mc" and abs(rho - 1.0) < 1e-12:

@@ -48,7 +48,7 @@ from .errors import (
     SmallDataError,
 )
 from .grid import GridFunction
-from .operators import Jet, OperatorSpec, SymMatrix, evaluate
+from .operators import OperatorSpec, SymMatrix, evaluate_many
 
 
 _SCHEMES = (
@@ -551,7 +551,7 @@ def solve_mean_curvature(
 
 
 def residual(op: OperatorSpec, u: GridFunction, f: GridFunction) -> GridFunction:
-    """Nodewise evaluate(op, central-difference jet) - f on interior nodes.
+    """evaluate(op, central-difference jet) - f on the interior nodes.
 
     This matches a scheme's own residual only where the scheme coincides with
     central differences (linear diagonal-coefficient solves, quadratics whose
@@ -562,22 +562,14 @@ def residual(op: OperatorSpec, u: GridFunction, f: GridFunction) -> GridFunction
         raise InvalidInputError("residual expects a 2D grid")
     h = u.spacing
     v = u.values
+    c = v[1:-1, 1:-1]
+    uxx = (v[2:, 1:-1] - 2 * c + v[:-2, 1:-1]) / h**2
+    uyy = (v[1:-1, 2:] - 2 * c + v[1:-1, :-2]) / h**2
+    uxy = (v[2:, 2:] + v[:-2, :-2] - v[2:, :-2] - v[:-2, 2:]) / (4 * h**2)
+    M = np.stack([np.stack([uxx, uxy], -1), np.stack([uxy, uyy], -1)], -2)
+    px = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * h)
+    py = (v[1:-1, 2:] - v[1:-1, :-2]) / (2 * h)
+    x = u.points().reshape(u.shape + (2,))[1:-1, 1:-1]
     out = np.zeros(u.shape)
-    pts = u.points().reshape(u.shape + (2,))
-    ny, nx = u.shape
-    for i in range(1, ny - 1):
-        for j in range(1, nx - 1):
-            uxx = (v[i + 1, j] - 2 * v[i, j] + v[i - 1, j]) / h**2
-            uyy = (v[i, j + 1] - 2 * v[i, j] + v[i, j - 1]) / h**2
-            uxy = (
-                v[i + 1, j + 1] + v[i - 1, j - 1] - v[i + 1, j - 1] - v[i - 1, j + 1]
-            ) / (4 * h**2)
-            p = (
-                (v[i + 1, j] - v[i - 1, j]) / (2 * h),
-                (v[i, j + 1] - v[i, j - 1]) / (2 * h),
-            )
-            M = SymMatrix(2, (uxx, uxy, uyy))
-            out[i, j] = evaluate(
-                op, Jet(M, p, float(v[i, j]), tuple(pts[i, j]))
-            ) - f.values[i, j]
+    out[1:-1, 1:-1] = evaluate_many(op, M, np.stack([px, py], -1), c, x) - f.values[1:-1, 1:-1]
     return GridFunction(2, u.shape, u.origin, h, out)

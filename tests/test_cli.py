@@ -184,6 +184,38 @@ class TestExitCodes:
         rec = json.loads(capsys.readouterr().out)
         assert rec["kind"] == "error" and rec["error"] == "InvalidInputError"
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["sigma", "quotient:2", "pucci+:x:1", "sigma:x", "quotient:x:1", "linear:1,x,1",
+         "sigma:2:3", "linear:1,0,1:1:0"],
+    )
+    def test_malformed_operator_spec_is_3(self, capsys, spec):
+        rc = main(["probe", "--op", spec])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        (line,) = out.splitlines()
+        rec = json.loads(line)
+        assert rec["kind"] == "error" and rec["error"] == "ParameterError"
+        assert err == ""
+
+    def test_missing_grid_file_is_3(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.grid")
+        rc = main(["abp", "--input", missing, "--f", "1", "--lambda", "1", "--Lambda", "1"])
+        assert rc == 3
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["kind"] == "error" and rec["error"] == "InvalidInputError"
+
+    def test_rhs_on_the_singular_sphere(self, capsys):
+        # the README's check: nodes (0.6, 0.8) and (0.8, 0.6) lie on |x| = 1
+        rc = main(["check", "--fixture", "pmc:0.3", "--box=0.55,1.45", "--h", "0.05",
+                   "--f", "rhs", "--side", "both", "--tol", "5e-2", "--rho", "5"])
+        assert rc == 3
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["kind"] == "error" and rec["error"] == "SingularityError"
+        assert main(["fixtures", "eval", "--fixture", "pmc:0.3", "--point", "1,0"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert "rhs" not in rec and "hess" not in rec and "value" in rec
+
     def test_success_is_0(self, capsys):
         assert main(["fixtures", "list"]) == 0
         capsys.readouterr()

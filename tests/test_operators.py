@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from nelliptic import operators
 from nelliptic.errors import (
     InvalidInputError,
     ParameterError,
+    ProbeDomainError,
     SingularEvaluationError,
 )
 from nelliptic.operators import (
@@ -13,8 +18,10 @@ from nelliptic.operators import (
     OperatorSpec,
     SymMatrix,
     eigenvalues_sym,
+    elementary_symmetric,
     ellipticity_probe,
     evaluate,
+    evaluate_many,
     is_k_admissible,
     pucci,
     shift,
@@ -262,6 +269,7 @@ class TestProbe:
         assert sc.lambda_hat == pytest.approx(math.sqrt(2) / 4, abs=1e-3)
         assert sc.Lambda_hat == pytest.approx(1.0, abs=1e-3)
         assert sc.notes, "the Lambda discrepancy note must be emitted"
+        assert sc.b0_hat > 0.1 and sc.c0_hat == 0.0  # F depends on p, not on s
 
     def test_lagrangian_lipschitz_constants(self):
         sc = ellipticity_probe(OperatorSpec.lagrangian(), 1.0, 2, samples=80, pairs=20)
@@ -282,3 +290,140 @@ class TestProbe:
         a = ellipticity_probe(OperatorSpec.mean_curvature(), 1.0, 2, samples=40, pairs=10, seed=5)
         b = ellipticity_probe(OperatorSpec.mean_curvature(), 1.0, 2, samples=40, pairs=10, seed=5)
         assert a.to_dict() == b.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# properties of the batched evaluation path
+
+FAMILY_SPECS = ("pucci+:0.5:2", "pucci-:0.5:2", "linear", "mc", "ma", "sigma:2", "quotient:2:1",
+                "slag")
+entries = st.floats(-3.0, 3.0) | st.sampled_from([0.0, 1.0, -1.0, 0.5])
+
+
+def symmetrize(A):
+    return (A + np.swapaxes(A, -1, -2)) / 2.0
+
+
+@st.composite
+def jet_stacks(draw):
+    """(spec, M, p, s, x): a family, shifted or not, and a stack of jets."""
+    text = draw(st.sampled_from(FAMILY_SPECS))
+    n = draw(st.integers(2 if text[0] in "sq" else 1, 4))
+    if text == "linear":
+        tri = draw(arrays(float, n * (n + 1) // 2, elements=entries))
+        b = draw(arrays(float, n, elements=entries))
+        op = OperatorSpec.linear(SymMatrix(n, tuple(tri)), b, draw(entries))
+    else:
+        op = OperatorSpec.parse(text)
+    if draw(st.booleans()):
+        A = symmetrize(draw(arrays(float, (n, n), elements=entries)))
+        P = Polynomial.from_quadratic(A, draw(arrays(float, n, elements=entries)), draw(entries))
+        try:
+            op = shift(op, P, normalize_origin=draw(st.booleans()))
+        except SingularEvaluationError:
+            op = shift(op, P)
+    batch = draw(st.integers(1, 6))
+    M = symmetrize(draw(arrays(float, (batch, n, n), elements=entries)))
+    p = draw(arrays(float, (batch, n), elements=entries))
+    s = draw(arrays(float, batch, elements=entries))
+    x = draw(arrays(float, (batch, n), elements=entries))
+    return op, M, p, s, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(jet_stacks())
+def test_evaluate_many_equals_per_jet_evaluate(case):
+    op, M, p, s, x = case
+    jets = [Jet.make(*jet) for jet in zip(M, p, s, x)]
+    try:
+        got = evaluate_many(op, M, p, s, x)
+    except SingularEvaluationError as exc:
+        # the index names the first jet that is singular on its own
+        for jet in jets[: exc.index]:
+            evaluate(op, jet)
+        with pytest.raises(SingularEvaluationError):
+            evaluate(op, jets[exc.index])
+        return
+    assert got.shape == s.shape
+    assert [float(v) for v in got] == [evaluate(op, jet) for jet in jets]
+
+
+sym_stack_pairs = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(*[arrays(float, (4, n, n), elements=entries).map(symmetrize)] * 2)
+)
+LAM, BIG_LAM = 0.5, 3.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(sym_stack_pairs)
+def test_pucci_identities(pair):
+    A, B = pair
+    tol = 1e-12 * (1.0 + np.abs(A).sum() + np.abs(B).sum())
+
+    def plus(X):
+        return pucci(X, LAM, BIG_LAM, "plus")
+
+    def minus(X):
+        return pucci(X, LAM, BIG_LAM, "minus")
+
+    assert np.all(np.abs(plus(A) + minus(-A)) <= tol)
+    assert np.all(minus(A) + minus(B) <= minus(A + B) + tol)
+    assert np.all(minus(A + B) <= minus(A) + plus(B) + tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FAMILY_SPECS[:2] + FAMILY_SPECS[3:]), st.integers(2, 4), st.data())
+def test_monotone_in_the_hessian(text, n, data):
+    """F(M + N) >= F(M) for N >= 0; the cone families inside Gamma_k."""
+    op = OperatorSpec.parse(text)
+    M = symmetrize(data.draw(arrays(float, (n, n), elements=entries)))
+    B = data.draw(arrays(float, (n, n), elements=entries))
+    N = B @ B.T
+    p = data.draw(arrays(float, n, elements=entries))
+    if op.family in ("ma", "sigma", "quotient"):
+        k = n if op.family == "ma" else op.params[0]
+        radius = np.max(np.abs(eigenvalues_sym(M)))
+        M = M + (data.draw(st.floats(0.5, 1.5)) * radius + 0.01) * np.eye(n)
+        assume(np.all(elementary_symmetric(eigenvalues_sym(M), k)[1:] > 1e-3))
+    lo, hi = evaluate_many(op, np.stack([M, M + N]), p, 0.0, np.zeros(n))
+    assert hi >= lo - 1e-9 * (1.0 + abs(lo) + abs(hi))
+
+
+def singular_quotient():
+    """quotient:2:1 shifted by diag(5e-6, 5e-6)/2 on |.| <= 1e-9: the zero
+    jet is admissible, and its D_M F step -h E_11 makes sigma_1 exactly 0."""
+    P = Polynomial.from_quadratic(np.diag([5e-6, 5e-6]), None, 0.0)
+    return shift(OperatorSpec.quotient(2, 1), P)
+
+
+def test_probe_domain_error_names_the_jet():
+    with pytest.raises(ProbeDomainError) as info:
+        ellipticity_probe(singular_quotient(), 1e-9, 2, samples=8, pairs=2)
+    assert info.value.jet == ((0.0, 0.0, 0.0), (0.0, 0.0), 0.0, (0.0, 0.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(-0.9, 0.5), st.sampled_from(["mc", "slag", "ma"]))
+def test_probe_domain_error_names_first_jet_in_draw_order(cut, text):
+    """Evaluations at jets with s > cut fail; the error names the first
+    drawn jet with s > cut, since the derivative phase comes first."""
+    real = operators.evaluate_many
+    batches = []
+
+    def failing_above_cut(op, M, p, s, x):
+        val = real(op, M, p, s, x)
+        batches.append(np.broadcast_to(s, val.shape))
+        bad = batches[-1] > cut
+        if bad.any():
+            raise SingularEvaluationError("s above the cut", index=int(np.flatnonzero(bad)[0]))
+        return val
+
+    op = OperatorSpec.parse(text)
+    if text == "ma":
+        op = shift(op, Polynomial.half_square_norm(2), normalize_origin=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "evaluate_many", failing_above_cut)
+        with pytest.raises(ProbeDomainError) as info:
+            ellipticity_probe(op, 1.0, 2, samples=24, pairs=4, seed=3)
+    drawn = batches[0][:, 0, 0]  # the derivative batch: the s of each jet, in draw order
+    assert info.value.jet[2] == drawn[np.flatnonzero(drawn > cut)[0]]

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nelliptic.errors import InsufficientDataError, ParameterError
+from nelliptic import regularity
+from nelliptic.errors import InsufficientDataError, ParameterError, SingularEvaluationError
 from nelliptic.fixtures import fixture
 from nelliptic.grid import GridFunction
 from nelliptic.operators import OperatorSpec
@@ -249,3 +250,55 @@ class TestViscosityChecker:
         assert rep.counts("sub")["fail"] == 0
         assert rep.counts("super")["fail"] == 0
         assert rep.counts("sub")["pass"] > 0
+
+    def test_witness_is_the_first_failing_candidate(self):
+        # u = x1^2/2 + g(x2): each node's curvature candidates are diag(1, -2)
+        # and diag(1, -1), where sigma_1 = 0. From below only diag(1, -2)
+        # touches, and every slope fails; the witness is the first one in
+        # sweep order. From above the singular candidate comes first.
+        g = np.array([-0.75, -0.125, 0.0, -0.125, -0.75])
+        x1 = np.array([-0.5, 0.0, 0.5])
+        u = GridFunction(2, (3, 5), (-0.5, -1.0), 0.5, x1[:, None] ** 2 / 2 + g)
+        f = GridFunction(2, u.shape, u.origin, u.spacing, np.zeros(u.shape))
+        op = OperatorSpec.quotient(2, 1)
+        rep = check_viscosity(u, op, f, side="super", tol=1e-6)
+        assert rep.verdict_super == ["fail"] * 3
+        assert [w["hessian"] for w in rep.witnesses] == [[[1.0, 0.0], [0.0, -2.0]]] * 3
+        # the centre's touching slopes are [-1/4, 1/4]; the lowest swept one is first
+        slopes = [w["slope"] for w in rep.witnesses]
+        assert slopes == [[0.0, 0.75], [0.0, -0.23951612903312902], [0.0, -0.75]]
+        with pytest.raises(SingularEvaluationError):
+            check_viscosity(u, op, f, side="sub", tol=1e-6)
+
+    def test_bounded_test_class(self):
+        # D^2 u = diag(2, 0): |Q| = 2, so rho = 1.5 leaves no test function
+        u = GridFunction.from_box([-1, -1], [1, 1], 0.25, fn=lambda x: x[0] ** 2)
+        f = GridFunction(2, u.shape, u.origin, u.spacing, np.full(u.shape, 2.0))
+        op = OperatorSpec.linear(np.eye(2))
+        assert check_viscosity(u, op, f, rho=1.5).counts("sub")["vacuous"] == 49
+        assert check_viscosity(u, op, f, rho=2.5).counts("sub")["pass"] > 0
+
+    def test_singular_candidate_after_the_witness(self, monkeypatch):
+        # candidates are tried in order, so a singular one after the first
+        # failing one does not change the verdict; one before it raises.
+        # Here every candidate fails, the first one included.
+        u = GridFunction.from_box([-1, -1], [1, 1], 0.25, fn=lambda x: x[0] ** 2 - x[1] ** 2 / 2)
+        f = GridFunction(2, u.shape, u.origin, u.spacing, np.full(u.shape, 5.0))
+        op = OperatorSpec.pucci_minus(0.5, 2.0)
+        ref = check_viscosity(u, op, f, side="sub", tol=1e-6)
+        assert ref.counts("sub")["fail"] == len(ref.nodes)
+        real = regularity.evaluate_many
+
+        def singular_at(index):
+            def evaluate_many(op, M, p, s, x):
+                if len(M) > index:  # not the prefix evaluated after the error
+                    raise SingularEvaluationError("singular", index=index)
+                return real(op, M, p, s, x)
+            return evaluate_many
+
+        monkeypatch.setattr(regularity, "evaluate_many", singular_at(1))
+        rep = check_viscosity(u, op, f, side="sub", tol=1e-6)
+        assert rep.witnesses == ref.witnesses
+        monkeypatch.setattr(regularity, "evaluate_many", singular_at(0))
+        with pytest.raises(SingularEvaluationError):
+            check_viscosity(u, op, f, side="sub", tol=1e-6)

@@ -11,7 +11,7 @@ from nelliptic.errors import (
 )
 from nelliptic import solver
 from nelliptic.grid import GridFunction
-from nelliptic.operators import OperatorSpec
+from nelliptic.operators import Jet, OperatorSpec, SymMatrix, evaluate
 from nelliptic.solver import (
     SolveConfig,
     residual,
@@ -273,6 +273,28 @@ class TestResidual:
         u, _ = solve_linear(np.eye(2), None, f, 0.0)
         r = residual(OperatorSpec.linear(np.eye(2)), u, f)
         assert np.max(np.abs(r.values)) < 1e-9
+
+    @pytest.mark.parametrize("spec", ["mc", "pucci-:0.5:2", "slag", "linear:1,0.3,2:0.5,-1:0.25"])
+    def test_matches_per_node_jets(self, spec):
+        # reference: evaluate at each interior node's central-difference jet
+        op = OperatorSpec.parse(spec)
+        rng = np.random.default_rng(4)
+        u = GridFunction(2, (6, 7), (-0.5, 0.25), 0.125, rng.normal(size=(6, 7)))
+        f = GridFunction(2, u.shape, u.origin, u.spacing, rng.normal(size=u.shape))
+        v, h = u.values, u.spacing
+        pts = u.points().reshape(u.shape + (2,))
+        ref = np.zeros(u.shape)
+        for i in range(1, 5):
+            for j in range(1, 6):
+                uxx = (v[i + 1, j] - 2 * v[i, j] + v[i - 1, j]) / h**2
+                uyy = (v[i, j + 1] - 2 * v[i, j] + v[i, j - 1]) / h**2
+                uxy = (v[i + 1, j + 1] + v[i - 1, j - 1] - v[i + 1, j - 1] - v[i - 1, j + 1]) / (
+                    4 * h**2
+                )
+                p = ((v[i + 1, j] - v[i - 1, j]) / (2 * h), (v[i, j + 1] - v[i, j - 1]) / (2 * h))
+                jet = Jet(SymMatrix(2, (uxx, uxy, uyy)), p, float(v[i, j]), tuple(pts[i, j]))
+                ref[i, j] = evaluate(op, jet) - f.values[i, j]
+        assert np.array_equal(residual(op, u, f).values, ref)
 
     def test_perturbation_scales_linearly(self):
         op = OperatorSpec.linear(np.eye(2))
