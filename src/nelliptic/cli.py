@@ -360,7 +360,7 @@ def _cmd_check(args):
     if args.fixture:
         fixture = fixtures_mod.parse_fixture(args.fixture)
         like = _grid_from_args(args, dim=fixture.dim)
-        vals = np.array([fixture(x) for x in like.points()]).reshape(like.shape)
+        vals = fixture(like.points()).reshape(like.shape)
         u = GridFunction(like.dim, like.shape, like.origin, like.spacing, vals)
     else:
         if not args.input:

@@ -73,7 +73,12 @@ class AnalyticFunction:
     taylor_fn: callable = None  # optional exact Taylor polynomials
 
     def __call__(self, x):
-        return float(self.eval_fn(np.atleast_1d(np.asarray(x, dtype=float))))
+        """u at a point x[n] (a float) or a stack of points x[..., n]."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.ndim == 1:
+            return float(self.eval_fn(x))
+        out = self.eval_fn(x.reshape(-1, x.shape[-1]))
+        return np.asarray(out, dtype=float).reshape(x.shape[:-1])
 
     def grad(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -135,7 +140,17 @@ class AnalyticFunction:
 
 
 # ---------------------------------------------------------------------------
-# individual fixtures
+# individual fixtures: each eval_fn takes a point x[n] or a stack x[N, n]
+# (x.T[i] is coordinate i of either, a scalar for a point) and gives a stack
+# its points' values bit for bit. So powers use the C library's pow, as numpy
+# powers a scalar (its array power can round differently), and |x| is
+# sqrt(vecdot(x, x)), the dot product np.linalg.norm takes of a point.
+
+
+def _pow(a, p):
+    if isinstance(a, float):  # a point's coordinate: np.float64 is a float
+        return math.pow(a, p)
+    return np.asarray(np.frompyfunc(math.pow, 2, 1)(a, p), dtype=float)
 
 
 def _pmc(theta: float, n: int = 2) -> AnalyticFunction:
@@ -156,10 +171,9 @@ def _pmc(theta: float, n: int = 2) -> AnalyticFunction:
         return -theta * (1.0 - theta) * (r - 1.0) ** (theta - 2.0)
 
     def ev(x):
-        r = np.linalg.norm(x)
-        if r <= 1.0:
-            return -((1.0 - r) ** theta)
-        return (r - 1.0) ** theta
+        r = np.sqrt(np.vecdot(x, x))
+        s = _pow(abs(1.0 - r), theta)
+        return np.where(r <= 1.0, -s, s)
 
     def gr(x):
         r = np.linalg.norm(x)
@@ -219,7 +233,8 @@ def _hq(theta: float, k: int = 2, l: int = 1, n: int = 3) -> AnalyticFunction:
     c_l1 = math.comb(n - 1, l - 1)
 
     def ev(x):
-        return 0.5 * float(np.sum(x[:-1] ** 2)) + abs(x[-1]) ** (1 + theta) / (1 + theta)
+        tail = _pow(abs(x.T[-1]), 1 + theta) / (1 + theta)
+        return 0.5 * np.sum(x.T[:-1] ** 2, axis=0) + tail
 
     def gr(x):
         g = x.copy()
@@ -272,7 +287,7 @@ def _slag(theta: float) -> AnalyticFunction:
         raise ParameterError("slag requires 0 < theta < 1")
 
     def ev(x):
-        return abs(x[0]) ** (1 + theta) / (1 + theta) + 0.5 * x[1] ** 2
+        return _pow(abs(x.T[0]), 1 + theta) / (1 + theta) + 0.5 * _pow(x.T[1], 2)
 
     def gr(x):
         return np.array([abs(x[0]) ** theta * np.sign(x[0]), x[1]])
@@ -318,30 +333,14 @@ def _quadratic(A=None, b=None, c: float = 0.0, n: int = 2) -> AnalyticFunction:
     b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
 
     def ev(x):
-        return 0.5 * float(x @ A @ x) + float(b @ x) + c
-
-    P = Polynomial.from_quadratic(A, b, c)
+        xA = np.matmul(x[..., None, :], A)[..., 0, :]
+        return 0.5 * np.vecdot(xA, x) + np.vecdot(x, b) + c
 
     def taylor(x0, k):
         if k < 2:
             return None  # generic path handles truncation
-        coeffs = {}
-        nloc = n
-        coeffs[(0,) * nloc] = ev(x0)
-        g = A @ x0 + b
-        for i in range(nloc):
-            sig = [0] * nloc
-            sig[i] = 1
-            if g[i]:
-                coeffs[tuple(sig)] = float(g[i])
-        for i in range(nloc):
-            for j in range(i, nloc):
-                sig = [0] * nloc
-                sig[i] += 1
-                sig[j] += 1
-                if A[i, j]:
-                    coeffs[tuple(sig)] = float(A[i, j])
-        return Polynomial(nloc, k, coeffs)
+        grad_hess = Polynomial.from_quadratic(A, A @ x0 + b, 0.0).coeffs
+        return Polynomial(n, k, {(0,) * n: float(ev(x0)), **grad_hess})
 
     op = None
     rhs = None
@@ -373,7 +372,7 @@ def _power(beta: float, n: int = 1) -> AnalyticFunction:
         raise ParameterError("power requires beta > 0")
 
     def ev(x):
-        return float(np.linalg.norm(x)) ** beta
+        return _pow(np.sqrt(np.vecdot(x, x)), beta)
 
     def gr(x):
         r = float(np.linalg.norm(x))
@@ -408,7 +407,8 @@ def _harmonic(k: int, n: int = 2) -> AnalyticFunction:
         raise ParameterError("harmonic fixture is Re((x1+i x2)^k) in dimension 2")
 
     def ev(x):
-        return float(np.real((x[0] + 1j * x[1]) ** k))
+        # np.power, not **: an array ** 2 squares with other rounding
+        return np.real(np.power(x.T[0] + 1j * x.T[1], k))
 
     def gr(x):
         z = x[0] + 1j * x[1]

@@ -2,9 +2,12 @@
 
 The lower convex envelope of a grid function is computed by iterated lower
 hull sweeps along the axis and diagonal grid directions until a fixed point.
-Each sweep is monotone (it never drops below the largest directionally convex
-minorant), so the iteration converges to that minorant: an outer
-approximation of the true convex envelope with O(h) bias.
+A sweep hulls every masked run of every line of one direction at once, in
+array passes over blocks of 32 lines that drop the nodes lying on or above
+the chord of their neighbours. Each sweep is monotone (it never drops below
+the largest directionally convex minorant), so the iteration converges to
+that minorant: an outer approximation of the true convex envelope with O(h)
+bias.
 
 The ABP check measures sup u^- against the discrete L^n norm of f^+ over the
 contact set where u meets its convex envelope, on the ball inscribed in the
@@ -13,10 +16,12 @@ convex u on the ball are cut off by a larger extension box, which would
 shrink the contact set below its continuum value).
 
 Sections S_h(x0) = {u - supporting affine function < h} of a convex function
-are traced by bisection along rays; the minimum-volume enclosing ellipsoid of
-the section boundary (Khachiyan ascent with away steps) yields the affine
-normalization T with B_{1/n} subset T(S_h) subset B_1 and the scale-invariant
-product (det T)^2 h^n.
+are traced by expansion and bisection along rays, all rays in lockstep with
+one evaluation of u per step on the stack of ray points (grid functions and
+fixtures take stacks; a bare callable is called point by point). The
+minimum-volume enclosing ellipsoid of the section boundary (Khachiyan ascent
+with away steps) yields the affine normalization T with B_{1/n} subset
+T(S_h) subset B_1 and the scale-invariant product (det T)^2 h^n.
 """
 
 from __future__ import annotations
@@ -40,46 +45,74 @@ from .operators import eigenvalues_sym
 # lower convex envelope
 
 
-def _lower_hull_1d(v: np.ndarray) -> np.ndarray:
-    """Lower convex hull of (i, v_i) on uniform abscissae, re-evaluated at
-    every node (Andrew monotone chain)."""
-    m = len(v)
-    if m <= 2:
-        return v.copy()
-    hull = [0]
-    for k in range(1, m):
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            if (v[b] - v[a]) * (k - b) >= (v[k] - v[b]) * (b - a):
-                hull.pop()
-            else:
-                break
-        hull.append(k)
-    out = np.empty(m)
-    for a, b in zip(hull[:-1], hull[1:]):
-        t = np.arange(a, b + 1) - a
-        out[a : b + 1] = v[a] + (v[b] - v[a]) * t / (b - a)
-    return out
+_BLOCK = 32  # grid lines hulled per array pass; bounds the working set
 
 
-def _hull_masked_line(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Hull every contiguous masked run of a line independently."""
+def _at_or_before(marked, pos):
+    """Last marked position at or before each node of each line (-1: none)."""
+    return np.maximum.accumulate(np.where(marked, pos, -1), axis=1)
+
+
+def _at_or_after(marked, pos):
+    """First marked position at or after each node of each line (m: none)."""
+    m = marked.shape[1]
+    return np.minimum.accumulate(np.where(marked, pos, m)[:, ::-1], axis=1)[:, ::-1]
+
+
+def _hull_lines(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Lower convex hull of every masked run of every line (row) of v,
+    re-evaluated at each node of the runs longer than two.
+
+    Each pass tests every alive node b against its nearest alive neighbours
+    a < b < k and drops it when (v[b]-v[a])(k-b) >= (v[k]-v[b])(b-a), i.e.
+    when it lies on or above their chord, until no node drops. A node k then
+    takes the chord value v[a] + (v[b]-v[a])(k-a)/(b-a) of the hull vertices
+    a <= k < b (b = k at the end of a run).
+    """
+    L, m = v.shape
+    pos = np.broadcast_to(np.arange(m), (L, m))
+    end = mask & ~np.pad(mask[:, 1:], ((0, 0), (0, 1)))  # last node of a run
+    start = _at_or_before(~mask, pos) + 1
+    stop = _at_or_after(end, pos)
+    hull = mask & (stop - start >= 2)
+    alive = hull.copy()
+    while True:
+        # nearest alive node or run boundary on either side
+        bound = alive | ~mask
+        a = np.pad(_at_or_before(bound, pos)[:, :-1], ((0, 0), (1, 0)), constant_values=-1)
+        k = np.pad(_at_or_after(bound, pos)[:, 1:], ((0, 0), (0, 1)), constant_values=m)
+        r, b = np.nonzero(alive & (a >= start) & (k <= stop))
+        a, k = a[r, b], k[r, b]
+        drop = (v[r, b] - v[r, a]) * (k - b) >= (v[r, k] - v[r, b]) * (b - a)
+        if not drop.any():
+            break
+        alive[r[drop], b[drop]] = False
+    vertex = alive & ~end
+    r, k = np.nonzero(hull)
+    a = _at_or_before(vertex, pos)[r, k]
+    b = _at_or_after(alive, pos)[r, k + vertex[r, k]]
     out = v.copy()
-    k = 0
-    m = len(v)
-    while k < m:
-        if not mask[k]:
-            k += 1
-            continue
-        j = k
-        while j < m and mask[j]:
-            j += 1
-        out[k:j] = _lower_hull_1d(v[k:j])
-        k = j
+    out[r, k] = v[r, a] + (v[r, b] - v[r, a]) * (k - a) / (b - a)
     return out
 
 
-def _convexify(values: np.ndarray, mask=None, max_sweeps=500, tol_scale=1.0):
+def _line_block(nr, nc, direction, lo, hi):
+    """Flat node indices of the grid lines lo..hi-1 of one direction (0 rows,
+    1 columns, 2 diagonals, 3 anti-diagonals), one line per row in increasing
+    column (rows) or row (the others) order, -1 off the grid."""
+    line = np.arange(lo, hi)[:, None]
+    if direction == 0:
+        return line * nc + np.arange(nc)
+    r = np.arange(nr)
+    if direction == 1:
+        return r * nc + line
+    c = r + line - (nr - 1)
+    if direction == 3:
+        c = (nc - 1) - c
+    return np.where((c >= 0) & (c < nc), r * nc + c, -1)
+
+
+def _convexify(values: np.ndarray, mask=None, tol_scale=1.0):
     """Largest minorant convex along rows, columns and both diagonals (2D) or
     along the axis (1D), restricted to masked nodes when a mask is given."""
     v = values.astype(float).copy()
@@ -87,43 +120,22 @@ def _convexify(values: np.ndarray, mask=None, max_sweeps=500, tol_scale=1.0):
         mask = np.ones(v.shape, dtype=bool)
     tol = 1e-13 * (1.0 + tol_scale)
     if v.ndim == 1:
-        v[mask] = _hull_masked_line(v, mask)[mask]
-        return v
+        return _hull_lines(v[None], mask[None])[0]
     nr, nc = v.shape
-    for _ in range(max_sweeps):
+    flat, fmask = v.ravel(), mask.ravel()
+    for _ in range(500):
         change = 0.0
-        for i in range(nr):
-            new = _hull_masked_line(v[i, :], mask[i, :])
-            change = max(change, float(np.max(np.abs(new - v[i, :]))))
-            v[i, :] = new
-        for j in range(nc):
-            new = _hull_masked_line(v[:, j], mask[:, j])
-            change = max(change, float(np.max(np.abs(new - v[:, j]))))
-            v[:, j] = new
-        for off in range(-(nr - 2), nc - 1):
-            idx = _diag_indices(nr, nc, off, anti=False)
-            new = _hull_masked_line(v[idx], mask[idx])
-            change = max(change, float(np.max(np.abs(new - v[idx]))))
-            v[idx] = new
-        for off in range(-(nr - 2), nc - 1):
-            idx = _diag_indices(nr, nc, off, anti=True)
-            new = _hull_masked_line(v[idx], mask[idx])
-            change = max(change, float(np.max(np.abs(new - v[idx]))))
-            v[idx] = new
+        for direction, lines in enumerate((nr, nc, nr + nc - 1, nr + nc - 1)):
+            for lo in range(0, lines, _BLOCK):
+                idx = _line_block(nr, nc, direction, lo, min(lo + _BLOCK, lines))
+                line_mask = (idx >= 0) & fmask[np.maximum(idx, 0)]
+                old = flat[np.maximum(idx, 0)]
+                new = _hull_lines(old, line_mask)
+                change = max(change, float(np.max(np.abs(new - old)[line_mask], initial=0.0)))
+                flat[idx[line_mask]] = new[line_mask]
         if change <= tol:
             break
     return v
-
-
-def _diag_indices(nr, nc, off, anti=False):
-    """Index arrays of the grid diagonal with the given offset."""
-    if not anti:
-        rows = np.arange(max(0, -off), min(nr, nc - off))
-        cols = rows + off
-    else:
-        rows = np.arange(max(0, -off), min(nr, nc - off))
-        cols = (nc - 1) - (rows + off)
-    return rows, cols
 
 
 def directional_convexification(values, mask=None):
@@ -142,20 +154,6 @@ class EnvelopeResult:
     gamma: GridFunction
     contact_mask: np.ndarray
     extension: dict
-
-    def contact_points(self) -> np.ndarray:
-        return self.gamma.points()[self.contact_mask.ravel()]
-
-    def contact_grid(self) -> GridFunction:
-        """Contact indicator as a grid function (writable in the grid file
-        format alongside gamma)."""
-        return GridFunction(
-            self.gamma.dim,
-            self.gamma.shape,
-            self.gamma.origin,
-            self.gamma.spacing,
-            self.contact_mask.astype(float),
-        )
 
 
 def lower_convex_envelope(u: GridFunction) -> EnvelopeResult:
@@ -259,28 +257,26 @@ def _domain_box(u, domain):
     raise InvalidInputError("section needs a domain box for a bare callable")
 
 
-def _gradient_at(u, x0):
-    g = getattr(u, "grad", None)
-    if g is not None:
-        return np.asarray(g(x0), dtype=float)
-    h = u.spacing / 2.0 if isinstance(u, GridFunction) else 1e-6
-    x0 = np.asarray(x0, dtype=float)
-    out = np.zeros(len(x0))
-    for i in range(len(x0)):
-        e = np.zeros(len(x0))
-        e[i] = h
-        out[i] = (u(x0 + e) - u(x0 - e)) / (2 * h)
-    return out
+def _stack_evaluator(u):
+    """u on a stack of points x[..., n]: grid functions and fixtures take
+    stacks; any other callable is called point by point."""
+    from .fixtures import AnalyticFunction  # only this type test needs fixtures
+
+    if isinstance(u, (GridFunction, AnalyticFunction)):
+        return u
+    return lambda X: np.array([float(u(x)) for x in X])
 
 
 def section(u, x0, h, rays: int = 256, domain=None) -> np.ndarray:
     """Boundary of the section {u - l_x0 < h} of a convex function.
 
-    l_x0 is the supporting affine function at x0 (value + gradient). Each
-    boundary point is located by bisection along a ray from x0 to relative
-    tolerance 1e-10 of the domain diameter. Raises SectionEscapeError when a
-    ray leaves the domain below the level h, and NonConvexityError when the
-    profile decreases along a ray.
+    l_x0 is the supporting affine function at x0 (value + gradient; central
+    differences when u has no grad). Along each ray from x0, steps grow by
+    1.3 until the profile reaches h, then bisection runs to 1e-10 of the
+    domain diameter (at most 200 steps); the rays advance in lockstep, with
+    one evaluation of u per step on the stack of their points. For the first
+    failing ray, raises SectionEscapeError when it leaves the domain below
+    the level h, and NonConvexityError when the profile decreases along it.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = len(x0)
@@ -289,68 +285,66 @@ def section(u, x0, h, rays: int = 256, domain=None) -> np.ndarray:
     lo, hi = _domain_box(u, domain)
     diam = float(np.linalg.norm(hi - lo))
     u0 = float(u(x0))
-    g = _gradient_at(u, x0)
-
-    def profile(x):
-        return float(u(x)) - u0 - float(g @ (x - x0))
+    evaluate = _stack_evaluator(u)
+    if getattr(u, "grad", None) is not None:
+        g = np.asarray(u.grad(x0), dtype=float)
+    else:
+        dx = u.spacing / 2.0 if isinstance(u, GridFunction) else 1e-6
+        g = (evaluate(x0 + dx * np.eye(n)) - evaluate(x0 - dx * np.eye(n))) / (2 * dx)
 
     if n == 1:
         dirs = np.array([[1.0], [-1.0]])
     else:
         ang = 2 * math.pi * np.arange(rays) / rays
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    # distance from x0 to the box boundary along each ray
+    reach = np.where(dirs > 0, hi - x0, lo - x0)
+    moving = np.abs(dirs) > 1e-15
+    tm = np.min(np.divide(reach, dirs, out=np.full(dirs.shape, math.inf), where=moving), axis=1)
 
-    def t_max(d):
-        # distance from x0 to the box boundary along d
-        tm = math.inf
-        for i in range(n):
-            if d[i] > 1e-15:
-                tm = min(tm, (hi[i] - x0[i]) / d[i])
-            elif d[i] < -1e-15:
-                tm = min(tm, (lo[i] - x0[i]) / d[i])
-        return tm
-
-    verts = []
     dent_tol = 1e-12 * (1.0 + abs(u0)) + 1e-9 * h
     if isinstance(u, GridFunction):
         # bilinear interpolants of convex data are only convex up to O(h^2)
         dent_tol += 0.5 * u.spacing**2 * (1.0 + abs(u0))
-    for d in dirs:
-        tm = t_max(d)
-        t = min(1e-6 * diam, 0.25 * tm)
-        prev = 0.0
-        t_lo = 0.0
-        while True:
-            if t >= tm:
-                val_edge = profile(x0 + min(tm, t) * d)
-                if val_edge < h:
-                    raise SectionEscapeError(
-                        "section at height %g reaches the domain boundary" % h
-                    )
-                t = tm
-                break
-            val = profile(x0 + t * d)
-            if val < prev - dent_tol:
-                raise NonConvexityError(
-                    "profile decreases along ray %s: convexity precondition fails"
-                    % (d.tolist(),)
-                )
-            if val >= h:
-                break
-            prev = val
-            t_lo = t
-            t *= 1.3
-        t_hi = t
-        for _ in range(200):
-            if t_hi - t_lo <= 1e-10 * diam:
-                break
-            mid = 0.5 * (t_lo + t_hi)
-            if profile(x0 + mid * d) >= h:
-                t_hi = mid
-            else:
-                t_lo = mid
-        verts.append(x0 + 0.5 * (t_lo + t_hi) * d)
-    return np.asarray(verts)
+    count = len(dirs)
+    t = np.minimum(1e-6 * diam, 0.25 * tm)
+    t_lo, t_hi, prev, val = (np.zeros(count) for _ in range(4))
+    expanding, bisecting = np.ones(count, dtype=bool), np.zeros(count, dtype=bool)
+    steps = np.zeros(count, dtype=int)
+    failed = np.zeros(count, dtype=int)  # 1: escaped, 2: profile decreased
+    while True:
+        bisecting &= (t_hi - t_lo > 1e-10 * diam) & (steps < 200)
+        active = expanding | bisecting
+        if not active.any():
+            break
+        mid = 0.5 * (t_lo + t_hi)
+        X = x0 + np.where(expanding, np.minimum(t, tm), mid)[active, None] * dirs[active]
+        val[active] = evaluate(X) - u0 - np.vecdot(X - x0, g)
+        # expansion: the box edge, then a dent, then the level h ends it
+        edge = expanding & (t >= tm)
+        failed[edge & (val < h)] = 1
+        dent = expanding & ~edge & (val < prev - dent_tol)
+        failed[dent] = 2
+        grow = expanding & ~edge & ~dent & (val < h)
+        prev[grow], t_lo[grow] = val[grow], t[grow]
+        # bisection halves [t_lo, t_hi]
+        hit, miss = bisecting & (val >= h), bisecting & (val < h)
+        t_hi[hit], t_lo[miss] = mid[hit], mid[miss]
+        steps += bisecting
+        done = expanding & ~grow & (failed == 0)
+        t_hi[done] = np.where(edge, tm, t)[done]
+        bisecting |= done
+        t[grow] *= 1.3
+        expanding = grow
+    bad = np.flatnonzero(failed)
+    if bad.size and failed[bad[0]] == 1:
+        raise SectionEscapeError("section at height %g reaches the domain boundary" % h)
+    if bad.size:
+        raise NonConvexityError(
+            "profile decreases along ray %s: convexity precondition fails"
+            % (dirs[bad[0]].tolist(),)
+        )
+    return x0 + (0.5 * (t_lo + t_hi))[:, None] * dirs
 
 
 # ---------------------------------------------------------------------------
@@ -499,19 +493,12 @@ def john_normalize(vertices, h, n: int) -> SectionNormalization:
     else:
         # order mapped vertices by angle and take min distance to the edges
         rel = mapped - center
-        order = np.argsort(np.arctan2(rel[:, 1], rel[:, 0]))
-        poly = rel[order]
-        dmin = math.inf
-        for k in range(len(poly)):
-            a = poly[k]
-            b = poly[(k + 1) % len(poly)]
-            e = b - a
-            ln = np.linalg.norm(e)
-            if ln < 1e-14:
-                continue
-            dist = abs(a[0] * e[1] - a[1] * e[0]) / ln
-            dmin = min(dmin, dist)
-        inscribed = float(dmin)
+        poly = rel[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]))]
+        e = np.roll(poly, -1, axis=0) - poly
+        ln = np.sqrt(np.vecdot(e, e))
+        edge = ln >= 1e-14
+        dist = np.abs(poly[:, 0] * e[:, 1] - poly[:, 1] * e[:, 0])[edge] / ln[edge]
+        inscribed = float(np.min(dist, initial=math.inf))
     return SectionNormalization(
         h=float(h),
         vertices=V,

@@ -94,7 +94,8 @@ class GridFunction:
     # -- evaluation -------------------------------------------------------------
 
     def __call__(self, x):
-        """Multilinear interpolation; x must lie inside the box."""
+        """Multilinear interpolation at a point x[n] (a float) or a stack of
+        points x[..., n] (an array); every point must lie inside the box."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         lo, hi = self.box()
         if np.any(x < lo - 1e-9 * self.spacing) or np.any(x > hi + 1e-9 * self.spacing):
@@ -102,19 +103,20 @@ class GridFunction:
         t = (x - lo) / self.spacing
         i0 = np.minimum(np.floor(t).astype(int), np.asarray(self.shape) - 2)
         i0 = np.maximum(i0, 0)
-        w = t - i0
-        if self.dim == 1:
-            a, b = self.values[i0[0]], self.values[i0[0] + 1]
-            return float(a * (1 - w[0]) + b * w[0])
+        # coordinates first: scalars for a single point, arrays for a stack
+        i0, w = i0.T, (t - i0).T
         v = self.values
-        i, j = i0
-        wi, wj = w
-        return float(
-            v[i, j] * (1 - wi) * (1 - wj)
-            + v[i + 1, j] * wi * (1 - wj)
-            + v[i, j + 1] * (1 - wi) * wj
-            + v[i + 1, j + 1] * wi * wj
-        )
+        if self.dim == 1:
+            out = v[i0[0]] * (1 - w[0]) + v[i0[0] + 1] * w[0]
+        else:
+            (i, j), (wi, wj) = i0, w
+            out = (
+                v[i, j] * (1 - wi) * (1 - wj)
+                + v[i + 1, j] * wi * (1 - wj)
+                + v[i, j + 1] * (1 - wi) * wj
+                + v[i + 1, j + 1] * wi * wj
+            )
+        return float(out) if x.ndim == 1 else out.T
 
 
 # ---------------------------------------------------------------------------
@@ -126,29 +128,34 @@ def write_grid(g: GridFunction, path) -> None:
     lines.append("shape " + " ".join(str(s) for s in g.shape))
     lines.append("origin " + " ".join(repr(float(o)) for o in g.origin))
     lines.append("spacing " + repr(float(g.spacing)))
-    for v in g.values.ravel():
-        lines.append(repr(float(v)))
+    lines.extend(map(repr, g.values.ravel().tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_grid(path) -> GridFunction:
+    """Parse a grid file; an unreadable or malformed one is an InvalidInputError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
         raise InvalidInputError("cannot read grid file %s: %s" % (path, exc.strerror)) from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError("grid file %s is not UTF-8 text" % path) from exc
     if not lines or lines[0] != "nelliptic-grid v1":
         raise InvalidInputError("not a nelliptic-grid v1 file: %s" % path)
     header = {}
     for ln in lines[1:5]:
         key, _, rest = ln.partition(" ")
         header[key] = rest
-    dim = int(header["dim"])
-    shape = tuple(int(s) for s in header["shape"].split())
-    origin = tuple(float(o) for o in header["origin"].split())
-    spacing = float(header["spacing"])
-    values = np.array([float(v) for v in lines[5:]])
+    try:
+        dim = int(header["dim"])
+        shape = tuple(int(s) for s in header["shape"].split())
+        origin = tuple(float(o) for o in header["origin"].split())
+        spacing = float(header["spacing"])
+        values = np.array([float(v) for v in lines[5:]])
+    except (KeyError, ValueError) as exc:  # a header line missing, a bad number
+        raise InvalidInputError("malformed grid file %s: %r" % (path, exc)) from exc
     expected = int(np.prod(shape))
     if values.size != expected:
         raise InvalidInputError(

@@ -121,7 +121,9 @@ def eigenvalues_sym(M, vectors=False):
     a = M.full() if isinstance(M, SymMatrix) else np.asarray(M, dtype=float)
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("non-finite entry in eigenvalues_sym input")
-    a = (a + np.swapaxes(a, -1, -2)) / 2.0
+    # LAPACK's reflectors read the sign of a zero, so -0.0 and 0.0 entries
+    # would round differently; adding 0.0 turns every -0.0 into 0.0
+    a = (a + np.swapaxes(a, -1, -2)) / 2.0 + 0.0
     return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
 
 

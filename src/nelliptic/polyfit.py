@@ -108,9 +108,11 @@ class Polynomial:
     # -- evaluation -----------------------------------------------------------
 
     def __call__(self, x):
+        """P at a point x[dim] (a float) or a stack of points x[..., dim]."""
         x = np.asarray(x, dtype=float)
         mono = {s: a / _factorial_sigma(s) for s, a in self.coeffs.items()}
-        return _horner(mono, x, self.dim)
+        out = _horner(mono, x.T, self.dim)
+        return float(out) if x.ndim <= 1 else out.T
 
     def gradient(self, x) -> np.ndarray:
         return np.array([self.derivative(_unit(self.dim, i))(x) for i in range(self.dim)])
@@ -181,16 +183,17 @@ def _unit(dim, i):
     return tuple(tau)
 
 
-def _horner(mono: dict, x: np.ndarray, dim: int) -> float:
-    """Nested Horner evaluation of a monomial-coefficient table."""
+def _horner(mono: dict, xt: np.ndarray, dim: int):
+    """Nested Horner evaluation of a monomial table; xt[i] is coordinate i
+    (a scalar for a single point, so no 0-d arrays are made)."""
     if not mono:
-        return 0.0
+        return np.zeros(xt.shape[1:])
     if dim == 1:
         dmax = max(s[0] for s in mono)
         acc = 0.0
         for e in range(dmax, -1, -1):
-            acc = acc * x[0] + mono.get((e,), 0.0)
-        return float(acc)
+            acc = acc * xt[0] + mono.get((e,), 0.0)
+        return acc
     # group by the exponent of the last variable
     groups = {}
     for sigma, c in mono.items():
@@ -198,9 +201,9 @@ def _horner(mono: dict, x: np.ndarray, dim: int) -> float:
     dmax = max(groups)
     acc = 0.0
     for e in range(dmax, -1, -1):
-        inner = _horner(groups[e], x[:-1], dim - 1) if e in groups else 0.0
-        acc = acc * x[-1] + inner
-    return float(acc)
+        inner = _horner(groups[e], xt[:-1], dim - 1) if e in groups else 0.0
+        acc = acc * xt[-1] + inner
+    return acc
 
 
 def eval_poly(P: Polynomial, x) -> float:
@@ -372,7 +375,7 @@ def _design_matrix(points, x0, degree):
 
 def _fit_errors(P, points, values, x0):
     x0 = np.asarray(x0, dtype=float)
-    res = np.array([v - P(p - x0) for p, v in zip(points, values)])
+    res = values - P(points - x0)
     err = float(np.max(np.abs(res))) if len(res) else 0.0
     active = [int(i) for i in np.nonzero(np.abs(res) >= err * (1 - 1e-9))[0]] if err > 0 else []
     return res, err, active

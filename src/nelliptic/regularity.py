@@ -281,11 +281,11 @@ def holder_seminorm(u, x0, k, alpha, radii, samples_m: int = 8):
     best = 0.0
     for r in sorted(radii):
         pts, vals = _samples_on_ball(u, x0, r, samples_m)
-        for x, v in zip(pts, vals):
-            d = float(np.linalg.norm(x - x0))
-            if d < 1e-13:
-                continue
-            best = max(best, abs(v - P(x - x0)) / d ** (k + alpha))
+        y = pts - x0
+        d = np.sqrt(np.vecdot(y, y))
+        far = d >= 1e-13
+        ratio = np.abs(vals - P(y))[far] / d[far] ** (k + alpha)
+        best = max(best, float(np.max(ratio, initial=0.0)))
     return float(best)
 
 

@@ -205,6 +205,26 @@ class TestExitCodes:
         rec = json.loads(capsys.readouterr().out)
         assert rec["kind"] == "error" and rec["error"] == "InvalidInputError"
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"nelliptic-grid v1\ndim x\nshape 2\norigin 0\nspacing 1\n0\n0\n",
+            b"nelliptic-grid v1\ndim 1\nshape 2\norigin 0\nspacing 1\n\xff\xfe\n0\n",
+            b"nelliptic-grid v1\ndim 1\nshape 2\norigin 0\n0\n0\n",
+        ],
+        ids=["bad-number", "not-utf8", "no-spacing"],
+    )
+    def test_malformed_grid_file_is_3(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.grid"
+        path.write_bytes(content)
+        rc = main(["abp", "--input", str(path), "--f", "1", "--lambda", "1", "--Lambda", "1"])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        (line,) = out.splitlines()
+        rec = json.loads(line)
+        assert rec["kind"] == "error" and rec["error"] == "InvalidInputError"
+        assert str(path) in rec["message"] and err == ""
+
     def test_rhs_on_the_singular_sphere(self, capsys):
         # the README's check: nodes (0.6, 0.8) and (0.8, 0.6) lie on |x| = 1
         rc = main(["check", "--fixture", "pmc:0.3", "--box=0.55,1.45", "--h", "0.05",

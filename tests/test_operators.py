@@ -53,6 +53,15 @@ class TestEigenvalues:
     def test_2x2_closed_form(self):
         assert np.allclose(eigenvalues_sym(SymMatrix.from_full([[0, 1], [1, 0]])), [-1, 1])
 
+    def test_signed_zero_entries_give_equal_values(self):
+        # the stored SymMatrix turns -0.0 into 0.0, so the raw matrix and its
+        # Jet must give bitwise-equal eigenvalues
+        t = 5e-324
+        A = np.array([[-t, -0.0, -t], [-0.0, -t, 0.5], [-t, 0.5, -1.980440037485146]])
+        B = np.where(A == 0.0, 0.0, A)
+        assert eigenvalues_sym(A).tolist() == eigenvalues_sym(B).tolist()
+        assert eigenvalues_sym(A).tolist() == eigenvalues_sym(SymMatrix.from_full(A)).tolist()
+
     def test_matches_characteristic_polynomial_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
