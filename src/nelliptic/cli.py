@@ -122,7 +122,12 @@ class _ExprParser:
                 or (self.text[self.pos] in "+-" and self.text[self.pos - 1] in "eE")
             ):
                 self.pos += 1
-            return ("num", float(self.text[start : self.pos]))
+            try:
+                return ("num", float(self.text[start : self.pos]))
+            except ValueError:
+                raise ParameterError(
+                    "bad number %r in expression" % self.text[start : self.pos]
+                ) from None
         if ch.isalpha():
             start = self.pos
             while self.pos < len(self.text) and (
@@ -216,8 +221,20 @@ def _config_of(args, keys):
     return out
 
 
+def _floats(text, what, count=None):
+    """The comma-separated numbers of an option value; a malformed number or
+    a count other than the expected one is a ParameterError."""
+    try:
+        vals = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ParameterError("%s %r is not a comma-separated list of numbers" % (what, text)) from None
+    if count is not None and len(vals) != count:
+        raise ParameterError("%s %r needs %d numbers" % (what, text, count))
+    return vals
+
+
 def _parse_point(text, dim=None):
-    pt = tuple(float(v) for v in text.split(","))
+    pt = tuple(_floats(text, "point"))
     if dim is not None and len(pt) != dim:
         raise ParameterError("point %r has wrong dimension (need %d)" % (text, dim))
     return pt
@@ -243,10 +260,13 @@ def _load_field(spec, like: GridFunction, fixture=None):
 
 def _grid_from_args(args, dim=2):
     if getattr(args, "grid", None):
-        return read_grid(args.grid)
+        grid = read_grid(args.grid)
+        if grid.dim != dim:
+            raise InvalidInputError("grid file %s has dim %d, need %d" % (args.grid, grid.dim, dim))
+        return grid
     if not getattr(args, "box", None) or not getattr(args, "h", None):
         raise ParameterError("need --grid FILE or --box lo,hi with --h")
-    lo, hi = (float(v) for v in args.box.split(","))
+    lo, hi = _floats(args.box, "--box", 2)
     return GridFunction.from_box([lo] * dim, [hi] * dim, args.h, dim=dim)
 
 
@@ -255,6 +275,8 @@ def _grid_from_args(args, dim=2):
 
 
 def _cmd_probe(args):
+    if args.n < 1:
+        raise ParameterError("probe dimension --n must be >= 1")
     op = OperatorSpec.parse(args.op)
     if args.shift_identity:
         op = shift(op, Polynomial.half_square_norm(args.n), normalize_origin=True)
@@ -283,9 +305,9 @@ def _cmd_solve(args):
         stencil_directions=args.stencil, tol=args.tol, max_iters=args.max_iters
     )
     if args.eq == "linear":
-        tri = [float(v) for v in args.A.split(",")] if args.A else [1.0, 0.0, 1.0]
+        tri = _floats(args.A, "--A", 3) if args.A else [1.0, 0.0, 1.0]
         A = np.array([[tri[0], tri[1]], [tri[1], tri[2]]])
-        b = [float(v) for v in args.b.split(",")] if args.b else None
+        b = _floats(args.b, "--b", 2) if args.b else None
         u, info = solver.solve_linear(A, b, f, g, config)
     elif args.eq == "pucci":
         u, info = solver.solve_pucci(args.lam, args.Lam, args.sign, f, g, config)
@@ -328,7 +350,7 @@ def _cmd_analyze(args):
     constraint = None
     if args.constrain:
         opspec, _, f0 = args.constrain.rpartition(":")
-        constraint = (OperatorSpec.parse(opspec), float(f0))
+        constraint = (OperatorSpec.parse(opspec), _floats(f0, "--constrain value", 1)[0])
     cfg = CampanatoConfig(
         k=args.degree,
         r0=args.r0,
@@ -348,10 +370,13 @@ def _cmd_analyze(args):
     _emit(report.to_dict(), "regularity", conf)
     if args.csv:
         osc = regularity.oscillation_profile(u, x0, [s.r for s in report.scales])
-        with open(args.csv, "w") as fh:
-            fh.write("r,E,osc\n")
-            for row, (_, o) in zip(report.scales, osc):
-                fh.write("%r,%r,%r\n" % (row.r, row.error, o))
+        try:
+            with open(args.csv, "w") as fh:
+                fh.write("r,E,osc\n")
+                for row, (_, o) in zip(report.scales, osc):
+                    fh.write("%r,%r,%r\n" % (row.r, row.error, o))
+        except OSError as exc:
+            raise InvalidInputError("cannot write %s: %s" % (args.csv, exc.strerror)) from exc
     return 0
 
 
@@ -400,7 +425,7 @@ def _cmd_abp(args):
 def _cmd_normalize(args):
     u, fixture = _analysis_input(args)
     x0 = _parse_point(args.point, u.dim)
-    heights = [float(v) for v in args.heights.split(",")]
+    heights = _floats(args.heights, "--heights")
     conf = _config_of(args, ["input", "fixture", "point", "heights", "rays"])
     for h in heights:
         verts = geometry.section(u, x0, h, rays=args.rays)
@@ -420,6 +445,8 @@ def _cmd_fixtures(args):
             _emit(claim, "fixture_claim", {"action": "list", "threads": args.threads})
         return 0
     if args.action == "eval":
+        if not args.fixture:
+            raise ParameterError("fixtures eval needs --fixture name:theta")
         fix = fixtures_mod.parse_fixture(args.fixture)
         x = np.asarray(_parse_point(args.point, fix.dim))
         rec = {"fixture": args.fixture, "point": list(x), "value": fix(x)}

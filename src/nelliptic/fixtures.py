@@ -468,9 +468,11 @@ def parse_fixture(spec: str) -> AnalyticFunction:
         if name == "harmonic":
             return _harmonic(2)
         raise ParameterError("fixture %r needs a parameter, e.g. %s:0.4" % (name, name))
-    if name == "harmonic":
-        return _harmonic(int(rest))
-    return fixture(name, float(rest))
+    try:
+        theta = int(rest) if name == "harmonic" else float(rest)
+    except ValueError:
+        raise ParameterError("fixture %r: parameter %r is not a number" % (spec, rest)) from None
+    return fixture(name, theta)
 
 
 def fixture_names():

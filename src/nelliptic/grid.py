@@ -37,8 +37,8 @@ class GridFunction:
             raise InvalidInputError("GridFunction supports dim 1 or 2")
         if len(self.shape) != self.dim or len(self.origin) != self.dim:
             raise InvalidInputError("shape/origin must have length dim")
-        if self.spacing <= 0:
-            raise InvalidInputError("spacing must be positive")
+        if not (self.spacing > 0 and np.isfinite(self.spacing)):
+            raise InvalidInputError("spacing must be positive and finite")
         self.values = np.asarray(self.values, dtype=float).reshape(self.shape)
         if not np.all(np.isfinite(self.values)):
             raise InvalidInputError("grid values must be finite")
@@ -56,6 +56,8 @@ class GridFunction:
         if lo.size == 1 and dim > 1:
             lo = np.repeat(lo, dim)
             hi = np.repeat(hi, dim)
+        if not (h > 0 and np.isfinite(h) and np.all(np.isfinite(hi - lo)) and np.all(hi >= lo)):
+            raise InvalidInputError("grid box needs finite lo <= hi and a positive finite spacing")
         shape = tuple(int(round((b - a) / h)) + 1 for a, b in zip(lo, hi))
         g = GridFunction(dim, shape, tuple(lo), float(h), np.zeros(shape))
         if fn is not None:
@@ -124,13 +126,17 @@ class GridFunction:
 
 
 def write_grid(g: GridFunction, path) -> None:
+    """Write a grid file; an unwritable path is an InvalidInputError."""
     lines = ["nelliptic-grid v1", "dim %d" % g.dim]
     lines.append("shape " + " ".join(str(s) for s in g.shape))
     lines.append("origin " + " ".join(repr(float(o)) for o in g.origin))
     lines.append("spacing " + repr(float(g.spacing)))
     lines.extend(map(repr, g.values.ravel().tolist()))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise InvalidInputError("cannot write grid file %s: %s" % (path, exc.strerror)) from exc
 
 
 def read_grid(path) -> GridFunction:

@@ -37,6 +37,18 @@ from .errors import (
 # ---------------------------------------------------------------------------
 # symmetric matrices
 
+_TRIU = {}
+
+
+def _triu(n):
+    """np.triu_indices(n), cached per n; the arrays are read-only."""
+    if n not in _TRIU:
+        iu = np.triu_indices(n)
+        for a in iu:
+            a.flags.writeable = False
+        _TRIU[n] = iu
+    return _TRIU[n]
+
 
 @dataclass(frozen=True)
 class SymMatrix:
@@ -61,7 +73,7 @@ class SymMatrix:
     def from_full(a) -> "SymMatrix":
         a = np.asarray(a, dtype=float)
         n = a.shape[0]
-        iu = np.triu_indices(n)
+        iu = _triu(n)
         return SymMatrix(n, tuple(((a + a.T) / 2.0)[iu]))
 
     @staticmethod
@@ -71,7 +83,7 @@ class SymMatrix:
     def full(self) -> np.ndarray:
         n = self.dim
         a = np.zeros((n, n))
-        iu = np.triu_indices(n)
+        iu = _triu(n)
         a[iu] = self.entries
         return a + np.triu(a, 1).T
 
@@ -369,6 +381,8 @@ def evaluate_many(op: OperatorSpec, M, p, s, x) -> np.ndarray:
 
     fam = op.family
     if fam == "linear":
+        if op.linear_A.dim != n:
+            raise InvalidInputError("linear operator dimension mismatch")
         A = op.linear_A.full()
         out = np.sum(A * M, axis=(-2, -1)) + np.sum(p * op.linear_b, axis=-1) + op.linear_c * s
     elif fam == "mc":
@@ -530,7 +544,7 @@ def _dmf(op: OperatorSpec, M, p, s, x) -> np.ndarray:
     by entry, + before -, so a flat error index divided by 2 n(n+1)/2 is
     the jet's index."""
     n = M.shape[-1]
-    iu = np.triu_indices(n)
+    iu = _triu(n)
     E = np.eye(n)[iu[0], :, None] * np.eye(n)[iu[1], None, :]
     E = (E + np.swapaxes(E, -1, -2)) / 2.0
     h = 1e-5 * np.maximum(1.0, _norms(M))
@@ -574,7 +588,7 @@ def ellipticity_probe(
     # cube layout: matrix triangle | p direction | p radius | s | matrix radius
     dim_cube = m_tri + n + 3
     x0 = np.zeros(n)
-    iu = np.triu_indices(n)
+    iu = _triu(n)
 
     def batch(fn, M, p, s, per=1):
         """fn(op, M, p, s, x0) on the jets M[J, n, n], p[J, n], s[J], each

@@ -1,16 +1,24 @@
+import functools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from nelliptic import cli, geometry
 from nelliptic.errors import (
     InvalidInputError,
+    IterationLimitError,
     NonConvexityError,
     RankError,
     SectionEscapeError,
 )
 from nelliptic.fixtures import fixture
 from nelliptic.geometry import (
+    _optimal_design,
+    _whitened,
     abp_check,
     directional_convexification,
     john_normalize,
@@ -18,7 +26,7 @@ from nelliptic.geometry import (
     mvee,
     section,
 )
-from nelliptic.grid import GridFunction
+from nelliptic.grid import GridFunction, write_grid
 
 
 class TestEnvelope:
@@ -188,3 +196,173 @@ class TestJohn:
         A, c = mvee(pts)
         vals = np.einsum("ni,ij,nj->n", pts - c, A, pts - c)
         assert np.max(vals) <= 1 + 1e-7
+
+
+# ---------------------------------------------------------------------------
+# minimum-volume enclosing ellipsoid
+
+
+def khachiyan_reference(points, tol=1e-9):
+    """The earlier mvee loop, Khachiyan ascent with away steps, run without an
+    iteration cap or a stagnation exit: slow, but it meets tol."""
+    P, W, mean = _whitened(points)
+    N, d = P.shape
+    Q = np.hstack([P, np.ones((N, 1))]).T
+    u = np.full(N, 1.0 / N)
+    dd = d + 1
+    while True:
+        M = np.einsum("ij,ij->j", Q, np.linalg.solve((Q * u) @ Q.T, Q))
+        j_add = int(np.argmax(M))
+        gap_add = M[j_add] - dd
+        j_away = int(np.argmin(np.where(u > 1e-15, M, np.inf)))
+        gap_away = dd - M[j_away]
+        if max(gap_add, gap_away) <= tol * dd:
+            break
+        if gap_add >= gap_away:
+            step = gap_add / (dd * (M[j_add] - 1.0))
+            u *= 1.0 - step
+            u[j_add] += step
+            continue
+        denom = dd * (M[j_away] - 1.0)
+        if denom <= 1e-15:
+            u[j_away] = 0.0
+        else:
+            beta = min(gap_away / denom, u[j_away] / (1.0 - u[j_away]))
+            u *= 1.0 + beta
+            u[j_away] -= beta
+            u = np.maximum(u, 0.0)
+        u /= u.sum()
+    c = P.T @ u
+    A = np.linalg.inv((P.T * u) @ P - np.outer(c, c)) / d
+    A /= max(1.0, float(np.max(np.einsum("ni,ij,nj->n", P - c, A, P - c))))
+    return W.T @ A @ W, mean + np.linalg.solve(W, c)
+
+
+def lifted_moments(P, u):
+    """M_j = q_j^T V(u)^-1 q_j for the lifted points q_j = (P[j], 1)."""
+    Q = np.hstack([P, np.ones((len(P), 1))]).T
+    return np.einsum("ij,ij->j", Q, np.linalg.solve((Q * u) @ Q.T, Q))
+
+
+def memberships(points, A, c):
+    X = np.asarray(points, dtype=float).reshape(len(points), -1) - c
+    return np.einsum("ni,ij,nj->n", X, A, X)
+
+
+def rounding_scale(points):
+    """eps times the condition number of the cloud's covariance, and eps times
+    its largest coordinate over its narrowest spread: the relative rounding
+    that undoing the whitening, or one rounding of every coordinate, puts
+    into the ellipsoid."""
+    X = np.asarray(points, dtype=float).reshape(len(points), -1)
+    ev = np.linalg.eigvalsh(np.atleast_2d(np.cov(X.T, bias=True)))
+    eps = np.finfo(float).eps
+    return eps * ev[-1] / ev[0], eps * np.max(np.abs(X)) / math.sqrt(ev[0])
+
+
+coords = st.floats(-10, 10, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def clouds(draw, dim=None, min_size=None, max_size=40):
+    """Full-dimensional point clouds in the line or the plane."""
+    d = dim or draw(st.sampled_from((1, 2)))
+    n = draw(st.integers(min_size or d + 1, max_size))
+    P = np.array(draw(st.lists(st.tuples(*[coords] * d), min_size=n, max_size=n)))
+    try:
+        _whitened(P)
+    except RankError:
+        assume(False)
+    return P
+
+
+def quadratic_grid(h=1 / 32):
+    """A gridded convex quadratic with det D^2 u = 1.5 * 0.75, axes rotated 45
+    degrees, on [-1, 1]^2."""
+    R = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2)
+    H = R @ np.diag([1.5, 0.75]) @ R.T
+    return GridFunction.from_box(
+        [-1, -1], [1, 1], h, fn=lambda x: 0.3 + 0.1 * x[0] - 0.2 * x[1] + 0.5 * x @ H @ x
+    )
+
+
+class TestMVEE:
+    tol = 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(clouds())
+    def test_kkt_conditions(self, points):
+        P = _whitened(points)[0]
+        d = P.shape[1]
+        u = _optimal_design(P, self.tol, 500)
+        assert np.all(u >= 0.0) and u.sum() == pytest.approx(1.0, abs=1e-12)
+        M = lifted_moments(P, u)
+        slack = 1e-12 * (d + 1)  # V(u) summed over other terms than in the loop
+        # no point outside the design's ellipsoid beyond tol ...
+        assert np.max(M) <= (d + 1) * (1 + self.tol) + slack
+        # ... and every point carrying weight on its boundary up to tol
+        assert np.min(M[u > 0]) >= (d + 1) * (1 - self.tol) - slack
+        A, c = geometry.mvee(points, tol=self.tol, max_iters=500)
+        # covered, up to the rounding of mapping the ellipsoid back
+        assert np.max(memberships(points, A, c)) <= 1 + 1e-9 + 100 * rounding_scale(points)[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(clouds(), st.data())
+    def test_affine_covariance(self, points, data):
+        d = points.shape[1]
+        L = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=d * d, max_size=d * d)))
+        L = L.reshape(d, d)
+        assume(abs(np.linalg.det(L)) > 0.1)
+        t = np.array(data.draw(st.lists(coords, min_size=d, max_size=d)))
+        X = points @ L.T + t
+        A, c = geometry.mvee(points)
+        A2, c2 = geometry.mvee(X)
+        Linv = np.linalg.inv(L)
+        # the image carries one rounding per coordinate, which a cloud narrow
+        # against its offset from the origin amplifies
+        rel = 1e-6 + 1e4 * max(max(rounding_scale(points)), max(rounding_scale(X)))
+        assert np.max(np.abs(Linv.T @ A @ Linv - A2)) <= rel * np.max(np.abs(A2))
+        assert np.max(np.abs(L @ c + t - c2)) <= rel * np.max(np.abs(X - X.mean(0)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2)), st.integers(0, 9))
+    def test_matches_khachiyan_reference(self, seed, d, extra):
+        # Gaussian clouds: on nearly degenerate ones the reference's linear
+        # rate can take minutes
+        points = np.random.default_rng(seed).normal(size=(d + 1 + extra, d))
+        A, c = geometry.mvee(points)
+        A_ref, c_ref = khachiyan_reference(points)
+        scale = np.max(np.abs(A_ref))
+        assert np.max(np.abs(A - A_ref)) <= 1e-6 * scale
+        span = np.max(np.abs(points - points.mean(0)))
+        assert np.max(np.abs(c - c_ref)) <= 1e-6 * span
+
+    def test_gridded_sections_meet_tol(self):
+        """64-ray sections of a 1/32 gridded quadratic: every height meets
+        tol, and the product stays within 1% of det D^2 u / 4."""
+        u = quadratic_grid()
+        for h in (0.05, 0.1, 0.2):
+            verts = section(u, [0.1, 0.0], h, rays=64)
+            P = _whitened(verts)[0]
+            weights = _optimal_design(P, self.tol, 60)
+            assert np.max(lifted_moments(P, weights)) <= 3 * (1 + self.tol) + 1e-12
+            norm = john_normalize(verts, h, 2)
+            assert norm.product == pytest.approx(1.5 * 0.75 / 4, rel=0.01)
+            assert norm.covering_margin <= 1 + 1e-9
+
+    def test_iteration_limit(self, tmp_path, monkeypatch, capsys):
+        verts = section(quadratic_grid(), [0.1, 0.0], 0.1, rays=64)
+        with pytest.raises(IterationLimitError):
+            geometry.mvee(verts, max_iters=1)
+        path = str(tmp_path / "q.grid")
+        write_grid(quadratic_grid(), path)
+        monkeypatch.setattr(geometry, "mvee", functools.partial(geometry.mvee, max_iters=1))
+        argv = ["normalize", "--input", path, "--point", "0.1,0", "--heights", "0.05,0.1",
+                "--rays", "64"]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert err == ""
+        lines = out.splitlines()
+        assert len(lines) == 1
+        rec = json.loads(lines[0])
+        assert rec["kind"] == "error" and rec["error"] == "IterationLimitError"

@@ -436,3 +436,15 @@ def test_probe_domain_error_names_first_jet_in_draw_order(cut, text):
             ellipticity_probe(op, 1.0, 2, samples=24, pairs=4, seed=3)
     drawn = batches[0][:, 0, 0]  # the derivative batch: the s of each jet, in draw order
     assert info.value.jet[2] == drawn[np.flatnonzero(drawn > cut)[0]]
+
+
+def test_triangle_indices_cached_read_only():
+    for n in (1, 2, 3):
+        iu = operators._triu(n)
+        assert operators._triu(n) is iu
+        assert all(np.array_equal(a, b) for a, b in zip(iu, np.triu_indices(n)))
+        assert not any(a.flags.writeable for a in iu)
+    M = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
+    S = SymMatrix.from_full(M)
+    assert S.entries == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    assert np.array_equal(S.full(), M)

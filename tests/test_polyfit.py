@@ -6,11 +6,13 @@ from scipy.optimize import linprog
 
 from nelliptic.errors import (
     ConstraintInfeasibleError,
+    InvalidInputError,
     ParameterError,
     RankError,
     SingularityError,
 )
 from nelliptic.fixtures import fixture
+from nelliptic.grid import GridFunction
 from nelliptic.operators import OperatorSpec
 from nelliptic.polyfit import (
     Polynomial,
@@ -268,3 +270,47 @@ class TestTaylor:
     def test_degree_cap_for_generic_fixture(self):
         with pytest.raises(ParameterError):
             taylor_of(fixture("slag", 0.4), [0.5, 0.0], 3)
+
+
+class TestBallSamples:
+    """Fixtures and grid functions are sampled on one point stack; the values
+    and errors are those of the points taken one at a time."""
+
+    @pytest.mark.parametrize("spec", [("quadratic",), ("slag", 0.4), ("hq", 0.5), ("pmc", 0.3),
+                                      ("power", 1.5), ("harmonic", 3)])
+    def test_fixture_stack_equals_points(self, spec, monkeypatch):
+        fx = fixture(*spec)
+        x0, r = np.full(fx.dim, 0.05), 0.4
+        pts, vals = ball_samples(fx, x0, r, m=5)
+        assert np.array_equal(vals, np.array([fx(p) for p in pts], dtype=float))
+        calls = []
+        monkeypatch.setattr(type(fx), "__call__", lambda self, x: calls.append(x) or np.zeros(len(x)))
+        ball_samples(fx, x0, r, m=5)
+        assert len(calls) == 1 and calls[0].shape == pts.shape
+
+    def test_grid_stack_equals_points_and_errors(self):
+        g = GridFunction.from_box([-1, -1], [1, 1], 0.125, fn=lambda x: math.sin(x[0]) + x[1] ** 3)
+        pts, vals = ball_samples(g, [0.1, -0.2], 0.5, m=6)
+        assert np.array_equal(vals, np.array([g(p) for p in pts], dtype=float))
+        with pytest.raises(InvalidInputError) as stacked:
+            ball_samples(g, [0.9, 0.0], 0.5, m=3)
+        with pytest.raises(InvalidInputError) as single:
+            g(np.array([1.4, 0.0]))
+        assert str(stacked.value) == str(single.value)
+
+    def test_bare_callable_called_per_point(self):
+        seen = []
+
+        def fn(x):
+            seen.append(np.array(x))
+            return float(x[0] - 2 * x[1])
+
+        pts, vals = ball_samples(fn, [0.0, 0.0], 1.0, m=3)
+        assert len(seen) == len(pts) and all(s.shape == (2,) for s in seen)
+        assert np.array_equal(vals, pts[:, 0] - 2 * pts[:, 1])
+
+        def broken(x):
+            raise SingularityError("no value at %s" % x.tolist())
+
+        with pytest.raises(SingularityError, match=r"no value at \[-1.0, 0.0\]"):
+            ball_samples(broken, [0.0, 0.0], 1.0, m=1)
