@@ -492,9 +492,9 @@ def mvee(points, tol=1e-9, max_iters=200000):
     is whitened by its covariance first; the ellipsoid is affine-covariant,
     so the optimum maps back exactly while the iteration runs on a
     well-conditioned configuration. The optimal design's ellipsoid is
-    inflated by its largest membership (at most 1 + tol(d+1)/d), so the
-    returned one covers every input point, up to the rounding of undoing the
-    whitening.
+    inflated by its largest membership (at most 1 + tol(d+1)/d) and, once
+    mapped back, by the largest membership of the input points, so the
+    returned one covers every input point as measured.
     """
     P, W, mean = _whitened(points)
     d = P.shape[1]
@@ -505,14 +505,19 @@ def mvee(points, tol=1e-9, max_iters=200000):
         A = np.linalg.inv(S) / d
     except np.linalg.LinAlgError:
         raise RankError("degenerate (flat) vertex set for the enclosing ellipsoid")
-    # inflate so the returned ellipsoid covers every input point exactly
+    # inflate so the ellipsoid covers every whitened point
     members = np.einsum("ni,ij,nj->n", P - c, A, P - c)
     peak = float(np.max(members))
     if peak > 1.0:
         A /= peak
-    # undo the whitening y = W (x - mean)
+    # undo the whitening y = W (x - mean), which rounds, then inflate again
+    # where the input points are measured: on an ill-conditioned cloud the
+    # memberships carry rounding noise, so until none of them exceeds 1
     A_orig = W.T @ A @ W
     c_orig = mean + np.linalg.solve(W, c)
+    X = np.asarray(points, dtype=float).reshape(len(P), d) - c_orig
+    while (peak := float(np.max(np.einsum("ni,ij,nj->n", X, A_orig, X)))) > 1.0:
+        A_orig /= peak
     return A_orig, c_orig
 
 

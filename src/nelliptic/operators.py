@@ -612,6 +612,13 @@ def ellipticity_probe(
         s = (2.0 * u[m_tri + n + 1] - 1.0) * rho
         return M, p_rad * pdir, s
 
+    # the zero jet is always drawn first, so no draw succeeds without it
+    if not _admissible(op, np.zeros((n, n)), margin):
+        raise ProbeDomainError(
+            "the zero jet lies outside the admissible cone of %s; probe the operator"
+            " shifted to an admissible jet (--shift-identity)" % op.family,
+            jet=(tuple(np.zeros(m_tri)), tuple(x0), 0.0, tuple(x0)),
+        )
     jets = []
     idx = seed * 7919 + 1
     attempts = 0

@@ -21,8 +21,6 @@ Test functions touching from below drive the supersolution verdict
 
 from __future__ import annotations
 
-import itertools
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -292,6 +290,12 @@ def holder_seminorm(u, x0, k, alpha, radii, samples_m: int = 8):
 # ---------------------------------------------------------------------------
 # discrete viscosity checker
 
+_BLOCK = 64  # interior nodes per array pass of the viscosity checker
+
+# neighbours -2, -1, +1, +2 along each axis in turn, then the diagonal ones
+_OFFSETS = {1: np.array([[-2], [-1], [1], [2]]), 2: np.array([(-2, 0), (-1, 0), (1, 0), (2, 0),
+            (0, -2), (0, -1), (0, 1), (0, 2), (1, 1), (-1, -1), (1, -1), (-1, 1)])}
+
 
 @dataclass
 class ViscosityReport:
@@ -302,219 +306,214 @@ class ViscosityReport:
 
     def counts(self, side):
         v = self.verdict_sub if side == "sub" else self.verdict_super
-        return {
-            "pass": v.count("pass"),
-            "fail": v.count("fail"),
-            "vacuous": v.count("vacuous"),
-        }
+        return {verdict: v.count(verdict) for verdict in ("pass", "fail", "vacuous")}
 
     def to_dict(self):
-        return {
-            "nodes": [list(n) for n in self.nodes],
-            "verdict_sub": self.verdict_sub,
-            "verdict_super": self.verdict_super,
-            "witnesses": self.witnesses,
-            "counts": {
-                "sub": self.counts("sub"),
-                "super": self.counts("super"),
-            },
-        }
+        return {"nodes": [list(n) for n in self.nodes], "verdict_sub": self.verdict_sub,
+                "verdict_super": self.verdict_super, "witnesses": self.witnesses,
+                "counts": {"sub": self.counts("sub"), "super": self.counts("super")}}
 
 
 def _slope_candidates(lo, hi, count):
-    lo, hi = min(lo, hi), max(lo, hi)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * 1.1 + 1e-12  # inflate the interval by 10%
-    return np.linspace(mid - half, mid + half, count)
+    """np.linspace over each [lo, hi] inflated by 10%, rounded as the scalar
+    call rounds it."""
+    lo, hi = np.where(hi < lo, hi, lo), np.where(hi > lo, hi, lo)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo) * 1.1 + 1e-12
+    start, stop = (mid - half)[..., None], (mid + half)[..., None]
+    div, i = max(count - 1, 1), np.arange(count)
+    step = (stop - start) / div
+    y = np.where(step == 0, i / div * (stop - start), i * step) + start
+    if count > 1:
+        y[..., -1] = stop[..., 0]
+    return y
+
+
+def _sorted_set(vals, ok):
+    """sorted(set(...)) along the last axis over the entries with ok: an
+    entry equal to a kept earlier one is dropped (0.0 and -0.0 keep the
+    first), kept entries ascend and dropped ones go last."""
+    ok = ok.copy()
+    for j in range(1, vals.shape[-1]):
+        for i in range(j):
+            ok[..., j] &= ~(ok[..., i] & (vals[..., j] == vals[..., i]))
+    order = np.lexsort((np.where(ok, vals, 0.0), ~ok), axis=-1)
+    return np.take_along_axis(vals, order, -1), np.take_along_axis(ok, order, -1)
+
+
+def _product(axes):
+    """itertools.product of per-axis sets (values[..., k], ok[..., k]), first
+    axis outermost: values[..., k^dim, dim] and ok[..., k^dim]."""
+    grid = np.indices([v.shape[-1] for v, _ in axes]).reshape(len(axes), -1)
+    return (np.stack([v[..., g] for (v, _), g in zip(axes, grid)], -1),
+            np.logical_and.reduce([ok[..., g] for (_, ok), g in zip(axes, grid)]))
+
+
+class _NodeBlock:
+    """Stencil data and candidate paraboloids of a block of interior nodes."""
+
+    def __init__(self, u, f, pts, nodes, slopes_per_axis, rho):
+        h, dim, offs = u.spacing, u.dim, _OFFSETS[u.dim]
+        self.nodes, self.dim, self.rho, self.z = nodes, dim, rho, offs * h
+        at, nb = tuple(nodes.T), nodes[:, None] + offs
+        self.inside = ins = np.all((nb >= 0) & (nb < u.shape), axis=-1)
+        self.u0, self.x0, self.fx = u.values[at], pts[at], f.values[at]
+        self.du = du = np.pad(u.values, 2)[tuple(np.moveaxis(nb + 2, -1, 0))] - self.u0[:, None]
+        self.slack = 1e-12 * (1.0 + np.abs(self.u0)) + 1e-12
+        # axis d has its neighbours -2, -1, +1, +2 in columns 4d .. 4d + 3; the
+        # sweep ends with the centred quotient, exact at smooth nodes
+        ax, h2 = 4 * np.arange(dim), h**2
+        fwd, bwd = du[:, ax + 2] / h, -du[:, ax + 1] / h
+        sweep = _slope_candidates(bwd, fwd, slopes_per_axis)
+        self.sweep = np.concatenate([sweep, (0.5 * (fwd + bwd))[..., None]], -1)
+        # curvatures: centred and one-sided second differences, centred cross term
+        curv = np.stack([du[:, ax + 2] + du[:, ax + 1], du[:, ax + 3] - 2 * du[:, ax + 2],
+                         du[:, ax] - 2 * du[:, ax + 1]], -1) / h2
+        cok = np.stack([np.ones_like(ins[:, ax]), ins[:, ax + 3], ins[:, ax]], -1)
+        diag, self.qok = _product([_sorted_set(curv[:, d], cok[:, d]) for d in range(dim)])
+        self.Q = diag[..., None] * np.eye(dim)
+        if dim == 2:
+            cross = (du[:, 8] + du[:, 9] - du[:, 10] - du[:, 11]) / (4 * h2)
+            self.Q[..., [0, 1], [1, 0]] = cross[:, None, None]
+        if rho is not None:
+            self.qok[self.qok] = np.max(np.abs(eigenvalues_sym(self.Q[self.qok])), axis=-1) <= rho
+        self.P, every = _product([(s, np.ones_like(s, bool)) for s in self.sweep.swapaxes(0, 1)])
+        self.admissible = every if rho is None else np.linalg.norm(self.P, axis=-1) <= rho
+
+    def touching(self, act, k, below):
+        """(row of act, slope) of each paraboloid with the curvature of slot k
+        that touches u from below (or above) on the stencil of a node of act,
+        by node, then sweep slopes and slope-box corners in order."""
+        z, du, ins, Q = self.z, self.du[act], self.inside[act], self.Q[act, k]
+        slack = self.slack[act, None]
+        quad = 0.5 * sum(z[:, i] * Q[:, i, j, None] * z[:, j] for i, j in np.ndindex(Q.shape[1:]))
+
+        def touch(pz, rows, cols=slice(None)):
+            # phi(x0 + z) - u(x0 + z) = p.z + z^T Q z / 2 - du, rounded as the reference
+            gap = pz + quad[rows][..., cols] - du[rows][..., cols]
+            ok = gap <= slack[rows] if below else gap >= -slack[rows]
+            return np.all(ok | ~ins[rows][..., cols], axis=-1)
+
+        # per axis: the swept slopes that touch at the axis neighbours, where
+        # p.z is one exact product, and the box of slopes those neighbours
+        # allow, bounded one neighbour at a time
+        S, axes, empty = self.sweep.shape[-1], [], False
+        keep = self.admissible[act].reshape((len(act),) + (S,) * self.dim)
+        for d in range(self.dim):
+            cols = slice(4 * d, 4 * d + 4)
+            ok = touch(self.sweep[act, d, :, None] * z[cols, d], (slice(None), None), cols)
+            keep = keep & ok.reshape((len(act),) + (1,) * d + (S,) + (1,) * (self.dim - 1 - d))
+            lo, hi = np.full(len(act), -np.inf), np.full(len(act), np.inf)
+            for c in range(4 * d, 4 * d + 4):
+                bound = (du[:, c] - 0.5 * Q[:, d, d] * z[c, d] * z[c, d]) / z[c, d]
+                if (z[c, d] > 0) == below:
+                    hi = np.where(ins[:, c] & (bound < hi), bound, hi)
+                else:
+                    lo = np.where(ins[:, c] & (bound > lo), bound, lo)
+            empty = empty | (lo > hi + 1e-12)
+            lo, hi = np.where(lo < -1e12, -1e12, lo), np.where(hi > 1e12, 1e12, hi)
+            corners = np.stack([lo, hi, 0.5 * (lo + hi)], -1)
+            axes.append(_sorted_set(corners, np.ones(corners.shape, bool)))
+        corners, cok = _product(axes)
+        cok &= ~empty[:, None]
+        if self.rho is not None:
+            cok &= np.linalg.norm(corners, axis=-1) <= self.rho
+        (n, s), (m, c) = np.nonzero(keep.reshape(len(act), -1)), np.nonzero(cok)
+        rows, p = np.concatenate([n, m]), np.concatenate([self.P[act[n], s], corners[m, c]])
+        # BLAS fuses p0 z0 + p1 z1 in one order for a stack of rows (the extra
+        # row keeps a lone row in a stack) and in the other for a single row,
+        # which a node's only candidate is in the reference checker
+        pz = np.concatenate([p, p[:1]]) @ z.T
+        for i in np.flatnonzero((self.admissible[act].sum(1) + cok.sum(1) == 1)[rows]):
+            pz[i] = p[i : i + 1] @ z.T
+        ok = touch(pz[: len(p)], rows)
+        order = np.argsort(rows[ok], kind="stable")
+        return rows[ok][order], p[ok][order]
+
+    def run(self, op, below, tol):
+        """One side, Q slot by Q slot: the verdict per node, {node: witness}
+        of the failing nodes and {node: error} of the nodes that raise."""
+        seen, done = np.zeros(len(self.u0), int), np.zeros(len(self.u0), bool)
+        witness, raised = {}, {}
+        for k in range(self.Q.shape[1]):
+            act = np.flatnonzero(self.qok[:, k] & ~done)
+            if not len(act):
+                continue
+            rows, p = self.touching(act, k, below)
+            nodes, val, i = act[rows], np.full(len(rows), np.nan), 0
+            M, s, x = self.Q[nodes, k], self.u0[nodes], self.x0[nodes]
+            while i < len(nodes):
+                try:
+                    val[i:] = evaluate_many(op, M[i:], p[i:], s[i:], x[i:])
+                    break
+                except SingularEvaluationError as exc:
+                    # the node's candidates before the singular one decide it
+                    j = i + exc.index
+                    val[i:j] = evaluate_many(op, M[i:j], p[i:j], s[i:j], x[i:j])
+                    exc.index = int(seen[nodes[j]] + j - np.searchsorted(nodes, nodes[j]))
+                    raised[int(nodes[j])] = exc
+                    i = np.searchsorted(nodes, nodes[j], "right")
+            fx = self.fx[nodes]
+            bad = np.flatnonzero(val > fx + tol if below else val < fx - tol)
+            for i in bad[np.unique(nodes[bad], return_index=True)[1]]:
+                n = int(nodes[i])
+                raised.pop(n, None)
+                witness[n] = {
+                    "node": self.nodes[n].tolist(), "x": list(map(float, self.x0[n])),
+                    "side": "super" if below else "sub", "slope": list(map(float, p[i])),
+                    "hessian": M[i].tolist(), "operator_value": float(val[i]), "f": float(fx[i]),
+                }
+            done[list(witness) + list(raised)] = True
+            seen += np.bincount(nodes, minlength=len(seen))
+        verdict = ["fail" if n in witness else "pass" if count else "vacuous"
+                   for n, count in enumerate(seen)]
+        return verdict, witness, raised
 
 
 def check_viscosity(
-    u: GridFunction,
-    op: OperatorSpec,
-    f: GridFunction,
-    side: str = "both",
-    tol: float = 1e-6,
-    slopes_per_axis: int = 32,
-    rho: float = None,
+    u: GridFunction, op: OperatorSpec, f: GridFunction, side: str = "both", tol: float = 1e-6,
+    slopes_per_axis: int = 32, rho: float = None,
 ) -> ViscosityReport:
     """Discrete viscosity verdicts per interior node.
 
     Candidate paraboloids combine curvatures from centered and one-sided
     second differences (axis by axis, plus the centered cross term) with a
-    slope sweep over the one-sided first-difference interval inflated by 10%.
-    A candidate counts only if it touches u from the proper side on the
-    stencil neighborhood; surviving candidates must satisfy the side's
-    operator inequality within tol, otherwise the node fails with the
-    candidate recorded as a witness. Nodes with no admissible touching
-    candidate are vacuous.
+    slope sweep over the one-sided first-difference interval inflated by 10%
+    and the corners of the slope box the axis neighbours allow. Candidates
+    that touch u from the proper side on the stencil neighborhood must meet
+    the side's operator inequality within tol, or the node fails with the
+    candidate as its witness. Nodes with no such candidate are vacuous.
 
     rho, when given, restricts the admissible test class to |D^2 phi| <= rho
     and |D phi| <= rho (the local analogue of the bounded-C^{1,1} test class
     of a rho-uniformly elliptic problem); without it all paraboloids are
     admissible, which can flag blow-up points that the bounded class cannot
     touch.
+
+    Nodes go in blocks of _BLOCK, as arrays. Per side the curvatures Q go in
+    order, with one operator evaluation for the touching slopes of a block's
+    undecided nodes; a node drops out at its first failing candidate, which
+    is its witness in (Q, slope) order, swept slopes before box corners. A
+    singular operator value (a quotient with a vanishing denominator) with
+    no failing candidate of its node and side before it raises
+    SingularEvaluationError: the first such (node, side), supersolution side
+    first, with index its place among the candidates of that node and side.
     """
     if u.shape != f.shape:
         raise InvalidInputError("grids must match")
     if side not in ("sub", "super", "both"):
         raise ParameterError("side must be sub, super or both")
-    h = u.spacing
-    dim = u.dim
-    v = u.values
-    pts = u.points().reshape(u.shape + (dim,))
-
-    if dim == 1:
-        offsets = [(-2,), (-1,), (1,), (2,)]
-        interior = [(i,) for i in range(1, u.shape[0] - 1)]
-    else:
-        offsets = [
-            (-2, 0), (-1, 0), (1, 0), (2, 0),
-            (0, -2), (0, -1), (0, 1), (0, 2),
-            (1, 1), (-1, -1), (1, -1), (-1, 1),
-        ]
-        ny, nx = u.shape
-        interior = [(i, j) for i in range(1, ny - 1) for j in range(1, nx - 1)]
-
-    def inside(node, off):
-        return all(0 <= node[d] + off[d] < u.shape[d] for d in range(dim))
-
-    nodes, verdict_sub, verdict_super, witnesses = [], [], [], []
-    for node in interior:
-        u0 = v[node]
-        x0 = pts[node]
-        neigh = [off for off in offsets if inside(node, off)]
-        du = {}
-        for off in neigh:
-            du[off] = v[tuple(np.add(node, off))] - u0
-
-        # slope interval per axis from one-sided quotients (centered quotient
-        # always included so smooth nodes keep their exact candidate)
-        slope_axes = []
-        curv_axes = []
-        for d in range(dim):
-            ep = tuple(1 if q == d else 0 for q in range(dim))
-            em = tuple(-1 if q == d else 0 for q in range(dim))
-            fwd = du[ep] / h
-            bwd = -du[em] / h
-            sweep = np.append(
-                _slope_candidates(bwd, fwd, slopes_per_axis), 0.5 * (fwd + bwd)
-            )
-            slope_axes.append(sweep)
-            cands = {(du[ep] + du[em]) / h**2}  # centered
-            ep2 = tuple(2 if q == d else 0 for q in range(dim))
-            em2 = tuple(-2 if q == d else 0 for q in range(dim))
-            if ep2 in du:  # one-sided second differences
-                cands.add((du[ep2] - 2 * du[ep]) / h**2)
-            if em2 in du:
-                cands.add((du[em2] - 2 * du[em]) / h**2)
-            curv_axes.append(sorted(cands))
-        if dim == 2:
-            cross = 0.0
-            if all(o in du for o in ((1, 1), (-1, -1), (1, -1), (-1, 1))):
-                cross = (du[(1, 1)] + du[(-1, -1)] - du[(1, -1)] - du[(-1, 1)]) / (
-                    4 * h**2
-                )
-            q_list = np.array(
-                [[[qa, cross], [cross, qb]] for qa in curv_axes[0] for qb in curv_axes[1]]
-            )
-        else:
-            q_list = np.array([[[qa]] for qa in curv_axes[0]])
-        if rho is not None:
-            q_list = q_list[np.max(np.abs(eigenvalues_sym(q_list)), axis=-1) <= rho]
-
-        p_sweep = np.array(list(itertools.product(*slope_axes)))
-        rel = np.array([[o * h for o in off] for off in neigh])  # physical offsets
-        uoff = np.array([du[off] for off in neigh])
-        slack = 1e-12 * (1.0 + abs(u0)) + 1e-12
-
-        def slope_box(Q, below):
-            # feasible touching slopes per axis from the axis neighbors only;
-            # candidates from the box survive the exact filter below
-            corners = [[]]
-            for d in range(dim):
-                lo_d, hi_d = -math.inf, math.inf
-                for off in neigh:
-                    if any(off[q] != 0 for q in range(dim) if q != d):
-                        continue
-                    z = off[d] * h
-                    bound = (du[off] - 0.5 * Q[d, d] * z * z) / z
-                    if (z > 0) == below:
-                        hi_d = min(hi_d, bound)
-                    else:
-                        lo_d = max(lo_d, bound)
-                if lo_d > hi_d + 1e-12:
-                    return np.empty((0, dim))
-                lo_d = max(lo_d, -1e12)
-                hi_d = min(hi_d, 1e12)
-                vals = {lo_d, hi_d, 0.5 * (lo_d + hi_d)}
-                corners = [c + [v] for c in corners for v in sorted(vals)]
-            return np.array(corners)
-
-        def touching(Q, below):
-            # phi(x0 + z) - u(x0 + z) = p.z + z^T Q z / 2 - du
-            extras = slope_box(Q, below)
-            p_all = np.vstack([p_sweep, extras]) if len(extras) else p_sweep
-            if rho is not None:
-                p_all = p_all[np.linalg.norm(p_all, axis=1) <= rho]
-                if len(p_all) == 0:
-                    return p_all
-            quad = 0.5 * np.einsum("ni,ij,nj->n", rel, Q, rel)
-            gap = p_all @ rel.T + quad[None, :] - uoff[None, :]
-            if below:
-                ok = np.all(gap <= slack, axis=1)
-            else:
-                ok = np.all(gap >= -slack, axis=1)
-            return p_all[ok]
-
-        def run_side(below):
-            # below=True: test functions under u -> supersolution inequality.
-            # All touching candidates go through one evaluation; the witness
-            # is the first failing one in (Q, p) order.
-            touch = [touching(Q, below) for Q in q_list]
-            qs = np.repeat(q_list, [len(t) for t in touch], axis=0)
-            if not len(qs):
-                return "vacuous", None
-            ps = np.concatenate(touch)
-            fx = f.values[node]
-
-            def fails(val):
-                return np.flatnonzero(val > fx + tol if below else val < fx - tol)
-
-            try:
-                val = evaluate_many(op, qs, ps, u0, x0)
-            except SingularEvaluationError as exc:
-                # a failing candidate before the singular one decides the side
-                val = evaluate_many(op, qs[: exc.index], ps[: exc.index], u0, x0)
-                if not len(fails(val)):
-                    raise
-            bad = fails(val)
-            if not len(bad):
-                return "pass", None
-            i = bad[0]
-            return "fail", {
-                "node": list(node),
-                "x": list(map(float, x0)),
-                "side": "super" if below else "sub",
-                "slope": list(map(float, ps[i])),
-                "hessian": qs[i].tolist(),
-                "operator_value": float(val[i]),
-                "f": float(fx),
-            }
-
-        nodes.append(node)
-        if side in ("super", "both"):
-            verdict, wit = run_side(below=True)
-            verdict_super.append(verdict)
-            if wit:
-                witnesses.append(wit)
-        else:
-            verdict_super.append("vacuous")
-        if side in ("sub", "both"):
-            verdict, wit = run_side(below=False)
-            verdict_sub.append(verdict)
-            if wit:
-                witnesses.append(wit)
-        else:
-            verdict_sub.append("vacuous")
-
-    return ViscosityReport(nodes, verdict_sub, verdict_super, witnesses)
+    sides = [below for below, name in ((True, "super"), (False, "sub")) if side in (name, "both")]
+    interior = np.argwhere(np.ones([max(n - 2, 0) for n in u.shape], bool)) + 1
+    pts = u.points().reshape(u.shape + (u.dim,))
+    verdicts, witnesses = {True: [], False: []}, []
+    for start in range(0, len(interior), _BLOCK):
+        block = _NodeBlock(u, f, pts, interior[start : start + _BLOCK], slopes_per_axis, rho)
+        runs = {below: block.run(op, below, tol) for below in sides}
+        errors = {(n, not below): exc for below, run in runs.items() for n, exc in run[2].items()}
+        if errors:
+            raise errors[min(errors)]
+        for below in (True, False):
+            verdicts[below] += runs[below][0] if below in runs else ["vacuous"] * len(block.nodes)
+        witnesses += [w for n in range(len(block.nodes)) for b in sides if (w := runs[b][1].get(n))]
+    nodes = [tuple(n) for n in interior.tolist()]
+    return ViscosityReport(nodes, verdicts[False], verdicts[True], witnesses)

@@ -303,8 +303,8 @@ class TestMVEE:
         # ... and every point carrying weight on its boundary up to tol
         assert np.min(M[u > 0]) >= (d + 1) * (1 - self.tol) - slack
         A, c = geometry.mvee(points, tol=self.tol, max_iters=500)
-        # covered, up to the rounding of mapping the ellipsoid back
-        assert np.max(memberships(points, A, c)) <= 1 + 1e-9 + 100 * rounding_scale(points)[0]
+        # covered where the points are measured
+        assert np.max(memberships(points, A, c)) <= 1 + 1e-9
 
     @settings(max_examples=60, deadline=None)
     @given(clouds(), st.data())
@@ -336,6 +336,13 @@ class TestMVEE:
         assert np.max(np.abs(A - A_ref)) <= 1e-6 * scale
         span = np.max(np.abs(points - points.mean(0)))
         assert np.max(np.abs(c - c_ref)) <= 1e-6 * span
+
+    def test_ill_conditioned_cloud_is_covered(self):
+        # the whitening maps this triangle back with a relative rounding of
+        # about 1e-5; the cover is measured on the points as given
+        points = np.array([(2.0, 0.0), (1e-5, 1.0), (0.0, 1.0)])
+        A, c = geometry.mvee(points)
+        assert np.max(memberships(points, A, c)) <= 1.0
 
     def test_gridded_sections_meet_tol(self):
         """64-ray sections of a 1/32 gridded quadratic: every height meets

@@ -448,3 +448,22 @@ def test_triangle_indices_cached_read_only():
     S = SymMatrix.from_full(M)
     assert S.entries == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
     assert np.array_equal(S.full(), M)
+
+
+@pytest.mark.parametrize("text", ["ma", "sigma:2", "quotient:2:1"])
+def test_probe_of_an_unshifted_cone_family_fails_before_drawing(text, monkeypatch):
+    # the zero jet, drawn first, sits at the tip of the cone: no draw can succeed
+    draws = []
+    real = operators._halton
+
+    def counted(index, dim):
+        draws.append(index)
+        return real(index, dim)
+
+    monkeypatch.setattr(operators, "_halton", counted)
+    with pytest.raises(ProbeDomainError, match="--shift-identity"):
+        ellipticity_probe(OperatorSpec.parse(text), 1.0, 2, samples=160)
+    assert draws == []
+    shifted = shift(OperatorSpec.parse(text), Polynomial.half_square_norm(2), normalize_origin=True)
+    ellipticity_probe(shifted, 1.0, 2, samples=16, pairs=4)
+    assert len(draws) >= 16

@@ -1,16 +1,27 @@
+import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nelliptic import regularity
-from nelliptic.errors import InsufficientDataError, ParameterError, SingularEvaluationError
+from nelliptic.errors import (
+    InsufficientDataError,
+    InvalidInputError,
+    ParameterError,
+    SingularEvaluationError,
+)
 from nelliptic.fixtures import fixture
 from nelliptic.grid import GridFunction
-from nelliptic.operators import OperatorSpec
+from nelliptic.operators import OperatorSpec, eigenvalues_sym, evaluate_many, shift
 from nelliptic.polyfit import Polynomial, multi_indices
 from nelliptic.regularity import (
     CampanatoConfig,
+    ViscosityReport,
     campanato_table,
     check_viscosity,
     estimate_exponent,
@@ -302,3 +313,362 @@ class TestViscosityChecker:
         monkeypatch.setattr(regularity, "evaluate_many", singular_at(0))
         with pytest.raises(SingularEvaluationError):
             check_viscosity(u, op, f, side="sub", tol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the per-node viscosity checker, kept as the reference for the block one
+
+
+def _reference_slope_candidates(lo, hi, count):
+    lo, hi = min(lo, hi), max(lo, hi)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo) * 1.1 + 1e-12  # inflate the interval by 10%
+    return np.linspace(mid - half, mid + half, count)
+
+
+def reference_check_viscosity(
+    u: GridFunction,
+    op: OperatorSpec,
+    f: GridFunction,
+    side: str = "both",
+    tol: float = 1e-6,
+    slopes_per_axis: int = 32,
+    rho: float = None,
+) -> ViscosityReport:
+    """Discrete viscosity verdicts per interior node.
+
+    Candidate paraboloids combine curvatures from centered and one-sided
+    second differences (axis by axis, plus the centered cross term) with a
+    slope sweep over the one-sided first-difference interval inflated by 10%.
+    A candidate counts only if it touches u from the proper side on the
+    stencil neighborhood; surviving candidates must satisfy the side's
+    operator inequality within tol, otherwise the node fails with the
+    candidate recorded as a witness. Nodes with no admissible touching
+    candidate are vacuous.
+
+    rho, when given, restricts the admissible test class to |D^2 phi| <= rho
+    and |D phi| <= rho (the local analogue of the bounded-C^{1,1} test class
+    of a rho-uniformly elliptic problem); without it all paraboloids are
+    admissible, which can flag blow-up points that the bounded class cannot
+    touch.
+    """
+    if u.shape != f.shape:
+        raise InvalidInputError("grids must match")
+    if side not in ("sub", "super", "both"):
+        raise ParameterError("side must be sub, super or both")
+    h = u.spacing
+    dim = u.dim
+    v = u.values
+    pts = u.points().reshape(u.shape + (dim,))
+
+    if dim == 1:
+        offsets = [(-2,), (-1,), (1,), (2,)]
+        interior = [(i,) for i in range(1, u.shape[0] - 1)]
+    else:
+        offsets = [
+            (-2, 0), (-1, 0), (1, 0), (2, 0),
+            (0, -2), (0, -1), (0, 1), (0, 2),
+            (1, 1), (-1, -1), (1, -1), (-1, 1),
+        ]
+        ny, nx = u.shape
+        interior = [(i, j) for i in range(1, ny - 1) for j in range(1, nx - 1)]
+
+    def inside(node, off):
+        return all(0 <= node[d] + off[d] < u.shape[d] for d in range(dim))
+
+    nodes, verdict_sub, verdict_super, witnesses = [], [], [], []
+    for node in interior:
+        u0 = v[node]
+        x0 = pts[node]
+        neigh = [off for off in offsets if inside(node, off)]
+        du = {}
+        for off in neigh:
+            du[off] = v[tuple(np.add(node, off))] - u0
+
+        # slope interval per axis from one-sided quotients (centered quotient
+        # always included so smooth nodes keep their exact candidate)
+        slope_axes = []
+        curv_axes = []
+        for d in range(dim):
+            ep = tuple(1 if q == d else 0 for q in range(dim))
+            em = tuple(-1 if q == d else 0 for q in range(dim))
+            fwd = du[ep] / h
+            bwd = -du[em] / h
+            sweep = np.append(
+                _reference_slope_candidates(bwd, fwd, slopes_per_axis), 0.5 * (fwd + bwd)
+            )
+            slope_axes.append(sweep)
+            cands = {(du[ep] + du[em]) / h**2}  # centered
+            ep2 = tuple(2 if q == d else 0 for q in range(dim))
+            em2 = tuple(-2 if q == d else 0 for q in range(dim))
+            if ep2 in du:  # one-sided second differences
+                cands.add((du[ep2] - 2 * du[ep]) / h**2)
+            if em2 in du:
+                cands.add((du[em2] - 2 * du[em]) / h**2)
+            curv_axes.append(sorted(cands))
+        if dim == 2:
+            cross = 0.0
+            if all(o in du for o in ((1, 1), (-1, -1), (1, -1), (-1, 1))):
+                cross = (du[(1, 1)] + du[(-1, -1)] - du[(1, -1)] - du[(-1, 1)]) / (
+                    4 * h**2
+                )
+            q_list = np.array(
+                [[[qa, cross], [cross, qb]] for qa in curv_axes[0] for qb in curv_axes[1]]
+            )
+        else:
+            q_list = np.array([[[qa]] for qa in curv_axes[0]])
+        if rho is not None:
+            q_list = q_list[np.max(np.abs(eigenvalues_sym(q_list)), axis=-1) <= rho]
+
+        p_sweep = np.array(list(itertools.product(*slope_axes)))
+        rel = np.array([[o * h for o in off] for off in neigh])  # physical offsets
+        uoff = np.array([du[off] for off in neigh])
+        slack = 1e-12 * (1.0 + abs(u0)) + 1e-12
+
+        def slope_box(Q, below):
+            # feasible touching slopes per axis from the axis neighbors only;
+            # candidates from the box survive the exact filter below
+            corners = [[]]
+            for d in range(dim):
+                lo_d, hi_d = -math.inf, math.inf
+                for off in neigh:
+                    if any(off[q] != 0 for q in range(dim) if q != d):
+                        continue
+                    z = off[d] * h
+                    bound = (du[off] - 0.5 * Q[d, d] * z * z) / z
+                    if (z > 0) == below:
+                        hi_d = min(hi_d, bound)
+                    else:
+                        lo_d = max(lo_d, bound)
+                if lo_d > hi_d + 1e-12:
+                    return np.empty((0, dim))
+                lo_d = max(lo_d, -1e12)
+                hi_d = min(hi_d, 1e12)
+                vals = {lo_d, hi_d, 0.5 * (lo_d + hi_d)}
+                corners = [c + [v] for c in corners for v in sorted(vals)]
+            return np.array(corners)
+
+        def touching(Q, below):
+            # phi(x0 + z) - u(x0 + z) = p.z + z^T Q z / 2 - du
+            extras = slope_box(Q, below)
+            p_all = np.vstack([p_sweep, extras]) if len(extras) else p_sweep
+            if rho is not None:
+                p_all = p_all[np.linalg.norm(p_all, axis=1) <= rho]
+                if len(p_all) == 0:
+                    return p_all
+            quad = 0.5 * np.einsum("ni,ij,nj->n", rel, Q, rel)
+            gap = p_all @ rel.T + quad[None, :] - uoff[None, :]
+            if below:
+                ok = np.all(gap <= slack, axis=1)
+            else:
+                ok = np.all(gap >= -slack, axis=1)
+            return p_all[ok]
+
+        def run_side(below):
+            # below=True: test functions under u -> supersolution inequality.
+            # All touching candidates go through one evaluation; the witness
+            # is the first failing one in (Q, p) order.
+            touch = [touching(Q, below) for Q in q_list]
+            qs = np.repeat(q_list, [len(t) for t in touch], axis=0)
+            if not len(qs):
+                return "vacuous", None
+            ps = np.concatenate(touch)
+            fx = f.values[node]
+
+            def fails(val):
+                return np.flatnonzero(val > fx + tol if below else val < fx - tol)
+
+            try:
+                val = evaluate_many(op, qs, ps, u0, x0)
+            except SingularEvaluationError as exc:
+                # a failing candidate before the singular one decides the side
+                val = evaluate_many(op, qs[: exc.index], ps[: exc.index], u0, x0)
+                if not len(fails(val)):
+                    raise
+            bad = fails(val)
+            if not len(bad):
+                return "pass", None
+            i = bad[0]
+            return "fail", {
+                "node": list(node),
+                "x": list(map(float, x0)),
+                "side": "super" if below else "sub",
+                "slope": list(map(float, ps[i])),
+                "hessian": qs[i].tolist(),
+                "operator_value": float(val[i]),
+                "f": float(fx),
+            }
+
+        nodes.append(node)
+        if side in ("super", "both"):
+            verdict, wit = run_side(below=True)
+            verdict_super.append(verdict)
+            if wit:
+                witnesses.append(wit)
+        else:
+            verdict_super.append("vacuous")
+        if side in ("sub", "both"):
+            verdict, wit = run_side(below=False)
+            verdict_sub.append(verdict)
+            if wit:
+                witnesses.append(wit)
+        else:
+            verdict_sub.append("vacuous")
+
+    return ViscosityReport(nodes, verdict_sub, verdict_super, witnesses)
+
+
+def outcome(check, *args, **kwargs):
+    """The report as JSON (floats round-trip exactly, signed zeros included),
+    or the type, message and index of the error raised."""
+    try:
+        return json.dumps(check(*args, **kwargs).to_dict())
+    except (SingularEvaluationError, InvalidInputError, ParameterError) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "index", None))
+
+
+def quotient_grid():
+    """u = x1^2/2 + g(x2) on a 3 x 5 grid: diag(1, -1) has sigma_1 = 0, so
+    quotient:2:1 meets singular candidates (test_witness_is_the_first_...)."""
+    g = np.array([-0.75, -0.125, 0.0, -0.125, -0.75])
+    x1 = np.array([-0.5, 0.0, 0.5])
+    u = GridFunction(2, (3, 5), (-0.5, -1.0), 0.5, x1[:, None] ** 2 / 2 + g)
+    return u, GridFunction(2, u.shape, u.origin, u.spacing, np.zeros(u.shape))
+
+
+def singular_pair_grid():
+    """A 4 x 5 integer grid on which quotient:2:1, checked from below, meets
+    a singular candidate before any failing one at two nodes, the first at
+    its candidate 0 and a later one at its candidate 1079."""
+    v = [[0, -1, -1, -2, -1], [0, -1, -1, 0, 0], [1, -1, -2, 2, 2], [-2, -2, -2, 1, -1]]
+    u = GridFunction(2, (4, 5), (0.0, 0.0), 0.5, np.array(v, float))
+    return u, GridFunction(2, u.shape, u.origin, u.spacing, np.zeros(u.shape))
+
+
+def bench_pucci_grid():
+    """The shape of the benchmark's check input: a quadratic on [-1, 1]^2 at
+    h = 1/4 (9 x 9 nodes, 49 interior) and its Pucci value."""
+    H = np.array([[1.2, 0.0], [0.0, -0.5]])
+    u = GridFunction.from_box(
+        [-1, -1], [1, 1], 0.25, fn=lambda x: 0.3 + 0.1 * x[0] + 0.5 * x @ H @ x
+    )
+    f = GridFunction(2, u.shape, u.origin, u.spacing, np.full(u.shape, 2.0 * 1.2 - 0.5 * 0.5))
+    return u, OperatorSpec.pucci_plus(0.5, 2.0), f
+
+
+def operators_for(dim):
+    ops = [
+        OperatorSpec.pucci_plus(0.5, 2.0),
+        OperatorSpec.pucci_minus(0.5, 2.0),
+        OperatorSpec.linear(np.eye(dim) + 0.25 * np.ones((dim, dim)), [0.5] * dim, -0.25),
+        shift(OperatorSpec.monge_ampere(), Polynomial.half_square_norm(dim), normalize_origin=True),
+        OperatorSpec.mean_curvature(),  # the pmc fixture's operator
+    ]
+    return ops + [OperatorSpec.quotient(2, 1)] if dim == 2 else ops
+
+
+@st.composite
+def viscosity_cases(draw):
+    """Small 1D and 2D grids (3 nodes and 3 x 3 included): integer values,
+    which tie curvature candidates and make singular quotients common,
+    quadratics with a kink, or arbitrary floats."""
+    dim = draw(st.sampled_from((1, 2)))
+    shape = tuple(draw(st.integers(3, 6 if dim == 2 else 9)) for _ in range(dim))
+    h = draw(st.sampled_from((0.25, 0.1, 1 / 7, 0.09)))
+    kind = draw(st.sampled_from(("integers", "kinked", "floats")))
+    size = int(np.prod(shape))
+    if kind == "integers":
+        vals = np.array(draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)), float)
+    elif kind == "kinked":
+        a, b, k = (draw(st.floats(-2, 2)) for _ in range(3))
+        grid = np.indices(shape).reshape(dim, -1).T * h
+        vals = a * grid[:, 0] ** 2 + b * grid[:, -1] + k * np.abs(grid[:, 0] - grid[:, -1] - h)
+    else:
+        vals = np.array(draw(st.lists(st.floats(-10, 10), min_size=size, max_size=size)))
+    u = GridFunction(dim, shape, (0.0,) * dim, h, vals.reshape(shape))
+    fvals = np.full(size, draw(st.floats(-3, 3))) if draw(st.booleans()) else np.array(
+        draw(st.lists(st.floats(-3, 3), min_size=size, max_size=size)))
+    f = GridFunction(dim, shape, (0.0,) * dim, h, fvals.reshape(shape))
+    op = draw(st.sampled_from(operators_for(dim)))
+    rho = draw(st.one_of(st.none(), st.floats(0.05, 60)))
+    return u, op, f, dict(side=draw(st.sampled_from(("sub", "super", "both"))),
+                          tol=draw(st.sampled_from((1e-6, 5e-2))), rho=rho)
+
+
+class TestBlockChecker:
+    @settings(max_examples=120, deadline=None)
+    @given(viscosity_cases())
+    def test_matches_the_per_node_reference(self, case):
+        u, op, f, kwargs = case
+        assert outcome(check_viscosity, u, op, f, **kwargs) == outcome(
+            reference_check_viscosity, u, op, f, **kwargs
+        )
+
+    @pytest.mark.parametrize("side", ["sub", "super", "both"])
+    def test_singular_prefix_rule_matches(self, side):
+        u, f = quotient_grid()
+        op = OperatorSpec.quotient(2, 1)
+        got = outcome(check_viscosity, u, op, f, side=side)
+        assert got == outcome(reference_check_viscosity, u, op, f, side=side)
+        if side != "super":
+            assert got[0] == "SingularEvaluationError"
+
+    def test_pmc_fixture_matches(self):
+        fix = fixture("pmc", 0.3)
+        g = GridFunction.from_box([0.553, -0.447], [1.453, 0.453], 0.09)
+        u = GridFunction(2, g.shape, g.origin, g.spacing, fix(g.points()).reshape(g.shape))
+        rhs = np.array([fix.rhs(p) for p in g.points()]).reshape(g.shape)
+        f = GridFunction(2, g.shape, g.origin, g.spacing, rhs)
+        args, kwargs = (u, fix.operator, f), dict(side="both", tol=5e-2, rho=5.0)
+        got = outcome(check_viscosity, *args, **kwargs)
+        assert got == outcome(reference_check_viscosity, *args, **kwargs)
+
+    def test_lone_candidate_keeps_its_rounding(self):
+        # One slope per axis and an empty slope box leave the centre node one
+        # candidate in its forward-curvature slot. At the (1, 1) neighbour its
+        # gap lies one rounding from the slack, where BLAS rounds p.z for a
+        # single row apart from a row in a stack: rounded as a single row, as
+        # the per-node checker did, it touches and becomes the witness.
+        v = np.array([
+            [0.0, 0.0, 0.028000000000000004, 0.0, 0.0],
+            [0.0, -0.027999999999249996, 0.007000000001500001, 0.04000000000074999, 0.0],
+            [-0.074, -0.037, 0.0, 0.037, 0.074],
+            [0.0, -0.03400000000075, 0.007000000000000001, 0.04733333333525, 0.0],
+            [0.0, 0.0, 0.028000000000000004, 0.0, 0.0],
+        ])
+        u = GridFunction(2, v.shape, (-0.2, -0.2), 0.1, v)
+        f = GridFunction(2, v.shape, (-0.2, -0.2), 0.1, np.full(v.shape, 100.0))
+        args, kwargs = (u, OperatorSpec.linear(np.eye(2)), f), dict(side="sub", slopes_per_axis=0)
+        got = outcome(check_viscosity, *args, **kwargs)
+        assert got == outcome(reference_check_viscosity, *args, **kwargs)
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_block_size_does_not_change_the_report(self, block, monkeypatch):
+        u, op, f = bench_pucci_grid()
+        uq, fq = quotient_grid()
+        us, fs = singular_pair_grid()
+        f_high = GridFunction(2, u.shape, u.origin, u.spacing, f.values + 1.0)
+        cases = [
+            (u, op, f, dict(side="both")),
+            (u, op, f_high, dict(side="sub")),
+            (u, op, f, dict(side="both", rho=1.0)),
+            (uq, OperatorSpec.quotient(2, 1), fq, dict(side="super")),
+            (uq, OperatorSpec.quotient(2, 1), fq, dict(side="both")),
+            (us, OperatorSpec.quotient(2, 1), fs, dict(side="super")),
+            (us, OperatorSpec.quotient(2, 1), fs, dict(side="both")),
+        ]
+        expected = [outcome(reference_check_viscosity, *c[:3], **c[3]) for c in cases]
+        monkeypatch.setattr(regularity, "_BLOCK", block or u.shape[0] * u.shape[1])
+        assert [outcome(check_viscosity, *c[:3], **c[3]) for c in cases] == expected
+
+    def test_block_memory_on_the_bench_input(self):
+        u, op, f = bench_pucci_grid()
+        check_viscosity(u, op, f)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            check_viscosity(u, op, f, side="both")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
