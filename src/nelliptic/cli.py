@@ -11,6 +11,17 @@ abp        maximum-principle ratio sup u^- vs ||f^+||_{L^n(contact)}
 normalize  section + enclosing-ellipsoid normalization across heights
 fixtures   list fixtures / evaluate one at a point
 
+Boundary expressions (``solve --g``, besides a constant or a grid file):
+decimal numbers, x1, x2 (x aliases x1), r = |x|, abs(...) of one argument,
+parentheses and + - * / ^. ``^`` is power: right-associative, binding tighter
+than a unary sign (-x1^2 = -(x1^2)), with a signed exponent allowed (2^-1).
+Any whitespace separates tokens. Python's parser reads the text and an
+allow-list rejects the rest of Python (``**``, ``//``, ``%``, ``~``,
+comparisons, conditionals, subscripts, attributes, other names and calls,
+keyword arguments, non-decimal literals) and nesting deeper than the parser
+takes (~200 parentheses, ~990 signs), each as a ParameterError. A point
+where the value is not a finite real is an InvalidInputError.
+
 Reports are JSON lines on stdout; each record carries its resolved
 configuration, so a single record suffices to rerun. Identical argv and seeds
 produce byte-identical streams. Exit codes: 0 success, 2 usage error,
@@ -20,9 +31,12 @@ produce byte-identical streams. Exit codes: 0 success, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
+import operator
 import os
+import re
 import sys
 
 import numpy as np
@@ -44,155 +58,69 @@ from .regularity import CampanatoConfig
 # boundary-expression mini-language: polynomials in x1, x2 and |x| (as r/abs)
 
 
-class _ExprParser:
-    """Recursive-descent parser for the boundary mini-language.
-
-    Grammar: numbers, x1, x2 (x aliases x1), r (= |x|), abs(...), + - * / ^
-    and parentheses. Deliberately no general function calls."""
-
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def parse(self):
-        node = self._expr()
-        self._skip()
-        if self.pos != len(self.text):
-            raise ParameterError("trailing input in expression: %r" % self.text[self.pos :])
-        return node
-
-    def _skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self):
-        self._skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _expr(self):
-        node = self._term()
-        while self._peek() in ("+", "-"):
-            op = self.text[self.pos]
-            self.pos += 1
-            rhs = self._term()
-            node = ("+" if op == "+" else "-", node, rhs)
-        return node
-
-    def _term(self):
-        node = self._factor()
-        while self._peek() in ("*", "/"):
-            op = self.text[self.pos]
-            self.pos += 1
-            rhs = self._factor()
-            node = (op, node, rhs)
-        return node
-
-    def _factor(self):
-        # unary minus binds looser than ^, so -x1^2 means -(x1^2)
-        ch = self._peek()
-        if ch == "-":
-            self.pos += 1
-            return ("neg", self._factor())
-        if ch == "+":
-            self.pos += 1
-            return self._factor()
-        return self._power()
-
-    def _power(self):
-        node = self._atom()
-        if self._peek() == "^":
-            self.pos += 1
-            exp = self._factor()  # right associative, sign allowed in exponent
-            node = ("^", node, exp)
-        return node
-
-    def _atom(self):
-        ch = self._peek()
-        if ch == "(":
-            self.pos += 1
-            node = self._expr()
-            if self._peek() != ")":
-                raise ParameterError("missing ) in expression")
-            self.pos += 1
-            return node
-        if ch.isdigit() or ch == ".":
-            start = self.pos
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isdigit() or self.text[self.pos] in ".eE"
-                or (self.text[self.pos] in "+-" and self.text[self.pos - 1] in "eE")
-            ):
-                self.pos += 1
-            try:
-                return ("num", float(self.text[start : self.pos]))
-            except ValueError:
-                raise ParameterError(
-                    "bad number %r in expression" % self.text[start : self.pos]
-                ) from None
-        if ch.isalpha():
-            start = self.pos
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-            name = self.text[start : self.pos]
-            if name == "abs":
-                if self._peek() != "(":
-                    raise ParameterError("abs needs parentheses")
-                self.pos += 1
-                node = self._expr()
-                if self._peek() != ")":
-                    raise ParameterError("missing ) after abs")
-                self.pos += 1
-                return ("abs", node)
-            if name in ("x", "x1", "x2", "r"):
-                return ("var", name)
-            raise ParameterError("unknown identifier %r in expression" % name)
-        raise ParameterError("cannot parse expression at %r" % self.text[self.pos :])
+def _real_pow(a, b):
+    v = a**b  # complex for a negative base under a fractional power
+    return v if isinstance(v, float) else math.nan
 
 
-def _eval_expr(node, x):
-    kind = node[0]
-    if kind == "num":
-        return node[1]
-    if kind == "var":
-        name = node[1]
-        if name in ("x", "x1"):
-            return float(x[0])
-        if name == "x2":
-            return float(x[1])
-        return float(np.linalg.norm(x))
-    if kind == "neg":
-        return -_eval_expr(node[1], x)
-    if kind == "abs":
-        return abs(_eval_expr(node[1], x))
-    a = _eval_expr(node[1], x)
-    b = _eval_expr(node[2], x)
-    if kind == "+":
-        return a + b
-    if kind == "-":
-        return a - b
-    if kind == "*":
-        return a * b
-    if kind == "/":
-        return a / b
-    if kind == "^":
-        v = a**b  # complex for a negative base under a fractional power
-        return v if isinstance(v, float) else math.nan
-    raise ParameterError("bad expression node %r" % (kind,))
+_ARITH = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+          ast.Div: operator.truediv, ast.Pow: _real_pow}
+_SIGNS = {ast.USub: operator.neg, ast.UAdd: operator.pos}
+_VARIABLES = {"x": lambda x: float(x[0]), "x1": lambda x: float(x[0]),
+              "x2": lambda x: float(x[1]), "r": lambda x: float(np.linalg.norm(x))}
+_LITERAL_CHARS = frozenset("0123456789.eE+-")
+
+
+def _compile(node, src):
+    """The allow-listed tree ``node`` of ``src`` as a function of the point;
+    anything else in it is a ParameterError."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _ARITH:
+        op, a, b = _ARITH[type(node.op)], _compile(node.left, src), _compile(node.right, src)
+        return lambda x: op(a(x), b(x))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGNS:
+        op, a = _SIGNS[type(node.op)], _compile(node.operand, src)
+        return lambda x: op(a(x))
+    # names are matched on their text, which Python would NFKC-normalize
+    seg = ast.get_source_segment(src, node)
+    if (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+            and set(seg) <= _LITERAL_CHARS):
+        v = float(seg)  # a decimal literal, read from its text
+        return lambda x: v
+    if isinstance(node, ast.Name) and seg in _VARIABLES:
+        return _VARIABLES[seg]
+    if (isinstance(node, ast.Call) and ast.get_source_segment(src, node.func) == "abs"
+            and len(node.args) == 1 and not node.keywords
+            and not seg[:-1].rstrip().endswith(",")):  # abs(a,) is no call of the language
+        a = _compile(node.args[0], src)
+        return lambda x: abs(a(x))
+    raise ParameterError("%r is not allowed in a boundary expression" % seg)
 
 
 def parse_expression(text):
     """The expression as a function of the point x; a point where it has no
     finite real value (division by zero, overflow, a negative base under a
-    fractional power) raises InvalidInputError."""
-    tree = _ExprParser(text).parse()
+    fractional power) raises InvalidInputError.
+
+    The text is read by Python's own expression parser, with ``^`` for power,
+    and only the grammar documented in the module docstring is allowed."""
+    if "**" in text or "#" in text:  # Python's power and comment
+        raise ParameterError("cannot parse expression %r" % text)
+    # any whitespace separates tokens, and a number may have leading zeros
+    src = "".join(" " if c.isspace() else c for c in text).strip()
+    src = re.sub(r"(?<![\w.])0+(?=[0-9])", "", src).replace("^", "**")
+    try:
+        fn = _compile(ast.parse(src, mode="eval").body, src)
+    except (SyntaxError, ValueError, RecursionError) as exc:
+        raise ParameterError("cannot parse expression %r: %s" % (text, exc)) from None
 
     def value(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         try:
-            v = _eval_expr(tree, x)
+            v = fn(x)
         except (ZeroDivisionError, OverflowError):
             v = math.nan
+        except RecursionError:
+            raise ParameterError("expression %r is nested too deeply" % text) from None
         if not math.isfinite(v):
             raise InvalidInputError(
                 "expression %r has no finite real value at x = %r" % (text, tuple(x.tolist()))

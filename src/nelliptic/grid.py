@@ -143,23 +143,23 @@ def read_grid(path) -> GridFunction:
     """Parse a grid file; an unreadable or malformed one is an InvalidInputError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [ln for ln in fh.read().split("\n") if ln and not ln.isspace()]
     except OSError as exc:
         raise InvalidInputError("cannot read grid file %s: %s" % (path, exc.strerror)) from exc
     except UnicodeDecodeError as exc:
         raise InvalidInputError("grid file %s is not UTF-8 text" % path) from exc
-    if not lines or lines[0] != "nelliptic-grid v1":
+    if not lines or lines[0].strip() != "nelliptic-grid v1":
         raise InvalidInputError("not a nelliptic-grid v1 file: %s" % path)
     header = {}
     for ln in lines[1:5]:
-        key, _, rest = ln.partition(" ")
+        key, _, rest = ln.strip().partition(" ")
         header[key] = rest
     try:
         dim = int(header["dim"])
         shape = tuple(int(s) for s in header["shape"].split())
         origin = tuple(float(o) for o in header["origin"].split())
         spacing = float(header["spacing"])
-        values = np.array([float(v) for v in lines[5:]])
+        values = np.array(lines[5:], dtype=float)  # float() on each line, blanks dropped
     except (KeyError, ValueError) as exc:  # a header line missing, a bad number
         raise InvalidInputError("malformed grid file %s: %r" % (path, exc)) from exc
     expected = int(np.prod(shape))

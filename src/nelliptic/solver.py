@@ -18,10 +18,10 @@ distance-weighted second differences d_v = (u(x+hv) - 2u(x) + u(x-hv))/(h|v|)^2,
 
 all of which are exact on quadratics whose Hessian is diagonalized by a
 stencil frame. The nonlinear systems are solved by damped semismooth Newton
-(0.5 damping with a residual-decrease line search) with whole-grid sweeps as
-a fallback after repeated Newton failures: Jacobi steps for Pucci, nodal
-bisection for the determinant. Residuals, Jacobians and sweeps are computed
-on whole arrays by one frame core shared by both schemes.
+(0.5 damping with a residual-decrease line search) with whole-grid nodal
+bisection sweeps as a fallback after repeated Newton failures. Residuals,
+Jacobians and sweeps are computed on whole arrays by one frame core shared by
+both schemes.
 
 The graph mean-curvature equation is solved in the small-data regime by
 frozen-coefficient Picard iteration on (I - Du Du^T / w^2) : D^2 u = f w,
@@ -294,19 +294,16 @@ class _WideStencilProblem:
         r[1:-1, 1:-1] = np.take_along_axis(vals, active[None], 0)[0] - self.f.values[1:-1, 1:-1]
         return r, D, active
 
-    def stencil(self, D, active):
-        """The linearization at the active frames: per-direction flat offsets
-        and side weights, the used-direction mask and the centre weight."""
+    def jacobian(self, D, active):
+        """The sparse linearization at the active frames, with identity rows on
+        the boundary."""
         coeff = self.coefficients(np.take_along_axis(D, active[None, None], 0)[0])
         w2 = np.moveaxis(self.w2[active], -1, 0)
         used = coeff > 0
         cen = np.where(used, coeff * -2.0 / w2, 0.0)
         # summed from 0.0 in direction order, as a nodewise stencil would
         centre = (0.0 + cen[0]) + cen[1]
-        return np.moveaxis(self.flat[active], -1, 0), coeff / w2, used, centre
-
-    def jacobian(self, D, active):
-        off, side, used, centre = self.stencil(D, active)
+        off, side = np.moveaxis(self.flat[active], -1, 0), coeff / w2
         k = self.nodes
         cols = np.stack([k + off[0], k - off[0], k + off[1], k - off[1], k])
         data = np.stack([side[0], side[0], side[1], side[1], centre])
@@ -316,13 +313,6 @@ class _WideStencilProblem:
         data = np.concatenate([data[keep], np.ones(len(self.boundary))])
         n = self.f.values.size
         return sp.csc_matrix((data, (rows, cols)), shape=(n, n))
-
-    def jacobi_sweep(self, u):
-        """One Jacobi step u + r/c at every interior node, c the centre weight
-        of its active frame (needs every direction weight > 0)."""
-        r, D, active = self.residual(u)
-        centre = self.stencil(D, active)[3]
-        u[1:-1, 1:-1] -= r[1:-1, 1:-1] / centre
 
     def bisection_sweep(self, u):
         """Solve every node's equation for its own value with the neighbours
@@ -360,9 +350,9 @@ class _WideStencilProblem:
         cfg = SolveConfig(tol=self.config.tol, max_iters=self.config.max_iters)
         return solve_linear(np.eye(2), None, f0, self.gvals, cfg)[0].values
 
-    def solve(self, sweep, init_rhs=None):
-        """Damped Newton; after repeated failures, 10 rounds of ``sweep``
-        (one of the sweeps above). Returns (u, SolveInfo)."""
+    def solve(self, init_rhs=None):
+        """Damped Newton; after repeated failures, 10 rounds of nodal
+        bisection sweeps. Returns (u, SolveInfo)."""
         cfg = self.config
         u = self.initial_iterate(init_rhs)
         history = []
@@ -397,7 +387,7 @@ class _WideStencilProblem:
             fails += 1
             if fails >= 3 or du is None:
                 for _sweep in range(10):
-                    sweep(u)
+                    self.bisection_sweep(u)
                 res, D, active = self.residual(u)
                 fails = 0
                 fallbacks += 1
@@ -452,7 +442,7 @@ def solve_pucci(lam, Lam, sign, f: GridFunction, g, config: SolveConfig = None):
     config = config or SolveConfig()
     config.for_scheme("wide_stencil_pucci")
     prob = _WideStencilProblem(f, g, config, *_pucci_scheme(lam, Lam, sign))
-    return prob.solve(prob.jacobi_sweep)
+    return prob.solve()
 
 
 def solve_monge_ampere(f: GridFunction, g, config: SolveConfig = None):
@@ -474,7 +464,7 @@ def solve_monge_ampere(f: GridFunction, g, config: SolveConfig = None):
     prob = _WideStencilProblem(f, g, config, *_ma_scheme(K))
     # trace-consistent Poisson start: det(D^2 u) = f has trace n f^{1/n} at
     # isotropic Hessians, so this reproduces aligned paraboloids exactly
-    return prob.solve(prob.bisection_sweep, init_rhs=2.0 * np.sqrt(f.values))
+    return prob.solve(init_rhs=2.0 * np.sqrt(f.values))
 
 
 def solve_mean_curvature(

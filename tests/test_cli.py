@@ -1,9 +1,13 @@
 import json
+import math
+import operator
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nelliptic.cli import main, parse_expression
 from nelliptic.errors import InvalidInputError, ParameterError
@@ -43,6 +47,104 @@ class TestExpressions:
         for text in ("1/0", "0^-1", "x1^0.5", "abs(x1^0.5)", "10^400", "1e308*10"):
             with pytest.raises(InvalidInputError):
                 parse_expression(text)([-1.0, 0.5])
+
+
+# The documented grammar as trees: ("num", text), ("var", name), (sign or
+# "abs" or "paren", a) and (op, a, b). A tree is rendered with the fewest
+# parentheses its precedence needs, so the text exercises the grammar's
+# binding rules, and it is evaluated directly in Python floats as the oracle.
+SUM, PRODUCT, SIGNED, POWER, ATOM = range(5)
+LITERALS = st.from_regex(r"([0-9]{1,3}(\.[0-9]{0,3})?|\.[0-9]{1,3})([eE][+-]?[0-9]{1,3})?",
+                         fullmatch=True)
+TREES = st.recursive(
+    st.one_of(st.tuples(st.just("num"), LITERALS),
+              st.tuples(st.just("var"), st.sampled_from(["x", "x1", "x2", "r"]))),
+    lambda sub: st.one_of(st.tuples(st.sampled_from(["-", "+", "abs", "paren"]), sub),
+                          st.tuples(st.sampled_from(["+", "-", "*", "/", "^"]), sub, sub)),
+    max_leaves=12,
+)
+
+
+def render(tree):
+    """(tokens, precedence level) of the tree."""
+    kind = tree[0]
+    if kind in ("num", "var"):
+        return [tree[1]], ATOM
+    if kind in ("abs", "paren"):
+        return ["abs(" if kind == "abs" else "("] + render(tree[1])[0] + [")"], ATOM
+    if len(tree) == 2:  # a sign binds looser than ^: -x1^2 is -(x1^2)
+        return [kind] + at_least(tree[1], SIGNED), SIGNED
+    left, right, level = {"+": (SUM, PRODUCT, SUM), "-": (SUM, PRODUCT, SUM),
+                          "*": (PRODUCT, SIGNED, PRODUCT), "/": (PRODUCT, SIGNED, PRODUCT),
+                          "^": (ATOM, SIGNED, POWER)}[kind]
+    return at_least(tree[1], left) + [kind] + at_least(tree[2], right), level
+
+
+def at_least(tree, level):
+    tokens, own = render(tree)
+    return tokens if own >= level else ["("] + tokens + [")"]
+
+
+def tree_value(tree, x):
+    kind = tree[0]
+    if kind == "num":
+        return float(tree[1])
+    if kind == "var":
+        return {"x": x[0], "x1": x[0], "x2": x[1], "r": float(np.linalg.norm(x))}[tree[1]]
+    a = tree_value(tree[1], x)
+    if len(tree) == 2:
+        return {"-": -a, "+": a, "abs": abs(a), "paren": a}[kind]
+    b = tree_value(tree[2], x)
+    if kind == "^":
+        v = a**b
+        return v if isinstance(v, float) else math.nan
+    return {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[kind](a, b)
+
+
+class TestExpressionLanguage:
+    @settings(max_examples=400, deadline=None)
+    @given(tree=TREES, data=st.data(),
+           points=st.lists(st.tuples(st.floats(-4, 4), st.floats(-4, 4)), min_size=1, max_size=4))
+    def test_value_is_the_tree_value(self, tree, data, points):
+        tokens = render(tree)[0]
+        gaps = data.draw(st.lists(st.sampled_from(["", " ", "\n", "\t "]),
+                                  min_size=len(tokens), max_size=len(tokens)))
+        text = "".join(gap + tok for gap, tok in zip(gaps, tokens))
+        f = parse_expression(text)
+        for x in points:
+            try:
+                want = tree_value(tree, x)
+            except (ZeroDivisionError, OverflowError):
+                want = math.nan
+            if math.isfinite(want):
+                assert f(x).hex() == want.hex(), (text, x)
+            else:
+                with pytest.raises(InvalidInputError):
+                    f(x)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x1**2", "x1//2", "x1%2", "~x1", "x1<2", "x1==x2", "x1 if x2 else 1", "x1[0]", "x1.real",
+         "abs(x1, x2)", "abs()", "abs(x=1)", "abs(x1,)", "abs(*x1)", "abs", "abs(x1)(2)", "y",
+         "x3", "max(x1, 1)", "True", "None", "'1'", "1j", "0x1", "0o7", "0b1", "1_0", "(x1,)",
+         "[x1]", "x1 @ x2", "x1 & x2", "x1 and x2", "not x1", "lambda: 1", "(y:=1)", "x1 # c",
+         "x1;1", "x1 +\\\n 1", "\uff581", "x1+\x00"],
+    )
+    def test_the_rest_of_python_is_rejected(self, text):
+        with pytest.raises(ParameterError):
+            parse_expression(text)
+
+    def test_leading_zeros_and_newlines(self):
+        assert parse_expression("x1+007")([1.0, 0.0]) == 8.0
+        assert parse_expression("00.5e01 - 1e-007*0")([0.0, 0.0]) == 5.0
+        assert parse_expression("x1\n+\r\n2*x2\n")([1.0, 3.0]) == 7.0
+
+    def test_an_integer_literal_past_the_float_range_is_infinite(self):
+        # read as float("100...0") = inf, as "1e400" is, not as a Python int
+        for text in ("1" + "0" * 400, "1" + "0" * 400 + "*0"):
+            with pytest.raises(InvalidInputError):
+                parse_expression(text)([0.0, 0.0])
+        assert parse_expression("1/1" + "0" * 400)([0.0, 0.0]) == 0.0
 
 
 class TestGridFile:

@@ -28,8 +28,10 @@ FILES = ["u.grid", "u1.grid", "coarse.grid", "missing.grid", "bad.grid", "binary
 OPS = ["pucci+:1:2", "pucci-:1:2", "pucci+:2:1", "pucci+:0:1", "sigma:2", "sigma:3", "sigma:0",
        "quotient:2:1", "quotient:1:2", "mc", "ma", "slag", "linear:1,0,1", "linear:1,5,1",
        "linear:-1,0,1", "linear:1,0", "bogus", "", "pucci+:x:1", "sigma:", "ma:1"]
+# nested past what Python's parser takes: 300 parentheses, 3000 signs, 3000 terms
+DEEP = ["x1+" + "(" * 300 + "1" + ")" * 300, "x1+" + "-" * 3000 + "x1", "+".join(["x1"] * 3000)]
 EXPRS = ["0", "1", "x1^2+x2^2", "0.5*r^2", "abs(x1)-r", "1/x1", "x1^0.5", "x3", "(x1", "sin(x1)",
-         "1e308*10", "1.2.3", "2e", "u.grid", "missing.grid", "bad.grid"]
+         "1e308*10", "1.2.3", "2e", "u.grid", "missing.grid", "bad.grid"] + DEEP
 FIXTURES = ["quadratic", "pucci:0.5", "hq:0.4", "slag:0.3", "pmc:0.9", "power:1.5",
             "harmonic:3", "bogus", "hq", "hq:2", "quadratic:x", "power:-1", ""]
 POINTS = ["0,0", "0.1,0", "0.5,0.5", "0", "0.1", "a,b", "5,5", "0,0,0", "nan,0", "", ","]
@@ -189,3 +191,13 @@ def test_exit_code_contract(workdir, argv):
         assert not errors
     if rc == 2:
         assert out == ""
+
+
+@pytest.mark.parametrize("g", DEEP, ids=["parentheses", "signs", "terms"])
+def test_deeply_nested_boundary_expression_is_3(workdir, g):
+    argv = ["solve", "--eq", "linear", "--box", "0,1", "--h", "0.25", "--out", "o.grid", "--g", g]
+    rc, out, err = run(argv, workdir)
+    assert (rc, err) == (3, "")
+    (line,) = out.splitlines()
+    rec = json.loads(line)
+    assert rec["kind"] == "error" and rec["error"] == "ParameterError"

@@ -6,6 +6,7 @@ import pytest
 from nelliptic.errors import (
     AdmissibilityError,
     AnisotropyError,
+    IterationLimitError,
     ParameterError,
     SmallDataError,
 )
@@ -235,6 +236,26 @@ class TestFallback:
         exact = np.array([g(p) for p in u.points()]).reshape(u.shape)
         assert info.fallbacks == 2
         assert np.max(np.abs(u.values - exact)) < 1e-8
+
+    @pytest.mark.parametrize("sign, a, b, fval", [("minus", 1.3, -0.4, 0.5 * 1.3 - 2.0 * 0.4),
+                                                  ("plus", 1.1, -0.6, 2.0 * 1.1 - 0.5 * 0.6)])
+    def test_pucci_fallback_lowers_the_residual(self, monkeypatch, sign, a, b, fval):
+        # every Newton factorization after the initial iterate fails, so the
+        # one step allowed is a round of fallback sweeps from the Poisson start
+        real, calls = solver.spla.spsolve, []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 1:
+                raise RuntimeError("forced factorization failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver.spla, "spsolve", failing)
+        g = lambda x: 0.5 * (a * x[0] ** 2 + b * x[1] ** 2) + 0.1 * x[0]
+        with pytest.raises(IterationLimitError) as err:
+            solve_pucci(0.5, 2.0, sign, grid_const(fval), g, SolveConfig(max_iters=1))
+        assert len(calls) == 2 and len(err.value.history) == 1
+        assert err.value.residual < err.value.history[0]
 
 
 class TestMeanCurvature:
