@@ -23,6 +23,11 @@ bisection sweeps as a fallback after repeated Newton failures. Residuals,
 Jacobians and sweeps are computed on whole arrays by one frame core shared by
 both schemes.
 
+Every sparse system, linear, Newton or Picard, goes through one sparse LU
+without pivoting on a symmetric order, with partial pivoting only for a
+singular factor (``_solve_sparse``). scipy is imported on the first assembly
+or solve, not with the package.
+
 The graph mean-curvature equation is solved in the small-data regime by
 frozen-coefficient Picard iteration on (I - Du Du^T / w^2) : D^2 u = f w,
 w = sqrt(1 + |Du|^2); a guard refuses right-hand sides or (affinely
@@ -36,8 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     AdmissibilityError,
@@ -97,6 +100,16 @@ class SolveInfo:
     fallbacks: int = 0
 
 
+def __getattr__(name):
+    # PEP 562: ``solver.spla`` still names scipy's sparse linear algebra, which
+    # the module itself imports only where it solves
+    if name == "spla":
+        import scipy.sparse.linalg
+
+        return scipy.sparse.linalg
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
 # ---------------------------------------------------------------------------
 # boundary data
 
@@ -117,9 +130,35 @@ def boundary_values(g, grid: GridFunction) -> np.ndarray:
         return g.copy()
     pts = grid.points().reshape(grid.shape + (grid.dim,))
     bmask = grid.boundary_mask()
-    for idx in np.argwhere(bmask):
-        out[tuple(idx)] = float(g(pts[tuple(idx)]))
+    out[bmask] = [float(g(p)) for p in pts[bmask]]
     return out
+
+
+# ---------------------------------------------------------------------------
+# sparse solve
+
+
+def _solve_sparse(A, b):
+    """Solve the CSC system A x = b by sparse LU without row pivoting, on a
+    minimum-degree order of A^T + A (SuperLU's symmetric mode).
+
+    Every matrix the solvers build is a monotone-scheme matrix: a weakly
+    diagonally dominant M-matrix up to sign, with identity rows on the
+    boundary. ``_assemble_linear`` rejects non-monotone coefficients, and the
+    frame core's Jacobian weights are positive by construction. Elimination
+    keeps such a matrix an M-matrix, so its diagonal pivots need no search.
+    Where a diagonal entry is exactly zero SuperLU still picks an off-diagonal
+    pivot. A singular factor falls back to ``spsolve``'s partial pivoting,
+    which returns NaN with a ``MatrixRankWarning``.
+    """
+    import scipy.sparse.linalg as spla
+
+    try:
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:
+        return spla.spsolve(A, b)
+    return lu.solve(b)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +167,8 @@ def boundary_values(g, grid: GridFunction) -> np.ndarray:
 
 def _assemble_linear(grid: GridFunction, A_field, b_field, f_vals, gvals):
     """Sparse monotone system for tr(A D^2 u) + b.Du = f, Dirichlet data."""
+    import scipy.sparse as sp
+
     ny, nx = grid.shape
     h = grid.spacing
     h2 = h * h
@@ -193,7 +234,7 @@ def solve_linear(A, b, f: GridFunction, g, config: SolveConfig = None):
     b_field = np.broadcast_to(b, shape + (2,))
     gvals = boundary_values(g, f)
     Asp, rhs = _assemble_linear(f, A_field, b_field, f.values, gvals)
-    sol = spla.spsolve(Asp, rhs)
+    sol = _solve_sparse(Asp, rhs)
     out = GridFunction(f.dim, f.shape, f.origin, f.spacing, sol.reshape(shape))
     res = float(np.max(np.abs(Asp @ sol - rhs)))
     if res > max(config.tol, 1e-8 * (1 + np.max(np.abs(rhs)))):
@@ -297,6 +338,8 @@ class _WideStencilProblem:
     def jacobian(self, D, active):
         """The sparse linearization at the active frames, with identity rows on
         the boundary."""
+        import scipy.sparse as sp
+
         coeff = self.coefficients(np.take_along_axis(D, active[None, None], 0)[0])
         w2 = np.moveaxis(self.w2[active], -1, 0)
         used = coeff > 0
@@ -367,7 +410,7 @@ class _WideStencilProblem:
             rhs[1:-1, 1:-1] = -res[1:-1, 1:-1]
             J = self.jacobian(D, active)
             try:
-                du = spla.spsolve(J, rhs.ravel()).reshape(self.shape)
+                du = _solve_sparse(J, rhs.ravel()).reshape(self.shape)
             except (RuntimeError, ValueError):
                 du = None
             stepped = False
@@ -521,7 +564,7 @@ def solve_mean_curvature(
                 "frozen coefficients left the monotone regime (guard %g): %s"
                 % (delta_guard, exc)
             )
-        new = spla.spsolve(Asp, rvec).reshape(shape)
+        new = _solve_sparse(Asp, rvec).reshape(shape)
         gap = float(np.max(np.abs(new - u)))
         u = new
         if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 50 * scale0:

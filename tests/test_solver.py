@@ -1,7 +1,14 @@
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nelliptic.errors import (
     AdmissibilityError,
@@ -15,6 +22,12 @@ from nelliptic.grid import GridFunction
 from nelliptic.operators import Jet, OperatorSpec, SymMatrix, evaluate
 from nelliptic.solver import (
     SolveConfig,
+    _assemble_linear,
+    _ma_scheme,
+    _pucci_scheme,
+    _solve_sparse,
+    _WideStencilProblem,
+    boundary_values,
     residual,
     solve_linear,
     solve_mean_curvature,
@@ -210,7 +223,7 @@ class TestMongeAmpere:
 
 class TestFallback:
     # f is the scheme's value on the Hessian diag(a, b) of the boundary data
-    @pytest.mark.parametrize(
+    aligned_quadratics = pytest.mark.parametrize(
         "solve, a, b, fval",
         [
             (lambda f, g: solve_pucci(0.5, 2.0, "minus", f, g), 1.3, -0.4, 0.5 * 1.3 - 2.0 * 0.4),
@@ -219,10 +232,12 @@ class TestFallback:
         ],
         ids=["pucci-minus", "pucci-plus", "ma"],
     )
+
+    @aligned_quadratics
     def test_sweeps_then_newton_reach_aligned_quadratic(self, monkeypatch, solve, a, b, fval):
         # the first two Newton linear solves after the initial iterate fail, so
         # two rounds of fallback sweeps run before Newton finishes the solve
-        real, calls = solver.spla.spsolve, []
+        real, calls = solver._solve_sparse, []
 
         def flaky(*args, **kwargs):
             calls.append(1)
@@ -230,7 +245,7 @@ class TestFallback:
                 raise RuntimeError("forced factorization failure")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(solver.spla, "spsolve", flaky)
+        monkeypatch.setattr(solver, "_solve_sparse", flaky)
         g = lambda x: 0.5 * (a * x[0] ** 2 + b * x[1] ** 2) + 0.1 * x[0]
         u, info = solve(grid_const(fval, h=1 / 8), g)
         exact = np.array([g(p) for p in u.points()]).reshape(u.shape)
@@ -242,7 +257,7 @@ class TestFallback:
     def test_pucci_fallback_lowers_the_residual(self, monkeypatch, sign, a, b, fval):
         # every Newton factorization after the initial iterate fails, so the
         # one step allowed is a round of fallback sweeps from the Poisson start
-        real, calls = solver.spla.spsolve, []
+        real, calls = solver._solve_sparse, []
 
         def failing(*args, **kwargs):
             calls.append(1)
@@ -250,12 +265,30 @@ class TestFallback:
                 raise RuntimeError("forced factorization failure")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(solver.spla, "spsolve", failing)
+        monkeypatch.setattr(solver, "_solve_sparse", failing)
         g = lambda x: 0.5 * (a * x[0] ** 2 + b * x[1] ** 2) + 0.1 * x[0]
         with pytest.raises(IterationLimitError) as err:
             solve_pucci(0.5, 2.0, sign, grid_const(fval), g, SolveConfig(max_iters=1))
         assert len(calls) == 2 and len(err.value.history) == 1
         assert err.value.residual < err.value.history[0]
+
+    @aligned_quadratics
+    def test_nan_steps_are_failed_steps_without_sweeps(self, monkeypatch, solve, a, b, fval):
+        # a singular factor gives a NaN step, not an exception: each one counts
+        # as a Newton failure, and two in a row start no round of sweeps
+        real, calls = solver._solve_sparse, []
+
+        def singular(*args, **kwargs):
+            calls.append(1)
+            out = real(*args, **kwargs)
+            return np.full_like(out, np.nan) if len(calls) in (2, 3) else out
+
+        monkeypatch.setattr(solver, "_solve_sparse", singular)
+        g = lambda x: 0.5 * (a * x[0] ** 2 + b * x[1] ** 2) + 0.1 * x[0]
+        u, info = solve(grid_const(fval, h=1 / 8), g)
+        exact = np.array([g(p) for p in u.points()]).reshape(u.shape)
+        assert len(calls) > 3 and info.fallbacks == 0
+        assert np.max(np.abs(u.values - exact)) < 1e-8
 
 
 class TestMeanCurvature:
@@ -329,3 +362,159 @@ class TestResidual:
             up = GridFunction(2, u.shape, u.origin, u.spacing, u.values + eps * bump)
             norms.append(np.max(np.abs(residual(op, up, f).values)))
         assert norms[1] / norms[0] == pytest.approx(2.0, rel=1e-6)
+
+
+class TestBoundaryValues:
+    @staticmethod
+    def per_node(g, grid):
+        # reference: one call of g per boundary node, in row-major order
+        out = np.zeros(grid.shape)
+        pts = grid.points().reshape(grid.shape + (grid.dim,))
+        for idx in np.argwhere(grid.boundary_mask()):
+            out[tuple(idx)] = float(g(pts[tuple(idx)]))
+        return out
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_callable_matches_per_node_loop(self, dim):
+        grid = GridFunction.from_box([-1.0] * dim, [0.7] * dim, 0.1, dim=dim)
+        seen = []
+
+        def g(x):
+            seen.append(tuple(x))
+            return math.sin(3 * x[0]) + x[-1] ** 3 / 7
+
+        got = boundary_values(g, grid)
+        calls = list(seen)
+        seen.clear()
+        ref = self.per_node(g, grid)
+        assert np.array_equal(got, ref) and calls == seen
+
+    def test_scalar_array_and_grid_data(self):
+        grid = grid_const(0.0, h=1 / 8)
+        arr = np.random.default_rng(5).normal(size=grid.shape)
+        bmask = grid.boundary_mask()
+        ref = self.per_node(lambda x: 0.3, grid)
+        assert np.array_equal(boundary_values(0.3, grid)[bmask], ref[bmask])
+        for g in (arr, GridFunction(2, grid.shape, grid.origin, grid.spacing, arr)):
+            assert np.array_equal(boundary_values(g, grid), arr)
+
+
+class TestSolveSparse:
+    def test_singular_matrix_gives_the_nan_of_spsolve(self):
+        A = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        b = np.array([1.0, 2.0])
+        with pytest.warns(spla.MatrixRankWarning):
+            got = _solve_sparse(A, b)
+        with pytest.warns(spla.MatrixRankWarning):
+            ref = spla.spsolve(A, b)
+        assert np.array_equal(got, ref, equal_nan=True) and np.all(np.isnan(got))
+
+    def test_zero_diagonal_takes_an_off_diagonal_pivot(self):
+        A = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.array_equal(_solve_sparse(A, np.array([2.0, 3.0])), [3.0, 2.0])
+
+    def test_scipy_is_imported_on_the_first_solve(self):
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import nelliptic.cli
+            from nelliptic.grid import GridFunction
+            from nelliptic.solver import solve_linear
+            print("scipy.sparse" in sys.modules)
+            f = GridFunction.from_box([0, 0], [1, 1], 0.25)
+            solve_linear(np.eye(2), None, f, 0.0)
+            print("scipy.sparse" in sys.modules)
+        """)
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.split() == ["False", "True"]
+
+
+# ---------------------------------------------------------------------------
+# scheme properties on 9x9 to 17x17 grids
+
+rngs = st.integers(0, 2**32 - 1).map(np.random.default_rng)
+
+
+def agree(x, ref, rel=1e-10):
+    return np.max(np.abs(x - ref)) <= rel * np.max(np.abs(ref))
+
+
+def box(n):
+    return GridFunction.from_box([-1.0, -1.0], [1.0, 1.0], 2.0 / (n - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(9, 17), rngs)
+def test_pivot_free_lu_agrees_with_spsolve_on_linear_systems(n, rng):
+    # a monotone 9-point stencil, |a12| <= min(a11, a22), with equality
+    # (explicit zero weights) at some nodes, and a drift
+    a12 = rng.uniform(-1.0, 1.0, (n, n))
+    slack = [np.where(rng.random((n, n)) < 0.2, 0.0, rng.uniform(0.05, 2.0, (n, n)))
+             for _ in range(2)]
+    a11, a22 = np.abs(a12) + slack[0], np.abs(a12) + slack[1]
+    A, rhs = _assemble_linear(box(n), np.stack([a11, a12, a22], -1),
+                              rng.uniform(-3.0, 3.0, (n, n, 2)), rng.normal(size=(n, n)),
+                              rng.normal(size=(n, n)))
+    assert agree(_solve_sparse(A, rhs), spla.spsolve(A, rhs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(9, 17), st.sampled_from(["pucci-minus", "pucci-plus", "ma"]), rngs)
+def test_pivot_free_lu_agrees_with_spsolve_on_newton_jacobians(n, kind, rng):
+    f = box(n)
+    if kind == "ma":
+        f.values[:] = rng.uniform(0.2, 2.0, f.shape)
+        scheme = _ma_scheme(1.0 + float(np.max(f.values)))
+    else:
+        f.values[:] = rng.normal(size=f.shape)
+        scheme = _pucci_scheme(0.5, 2.0, kind[6:])
+    prob = _WideStencilProblem(f, 0.0, SolveConfig(), *scheme)
+    _, D, active = prob.residual(rng.normal(size=f.shape))
+    J = prob.jacobian(D, active)
+    rhs = rng.normal(size=n * n)
+    assert agree(_solve_sparse(J, rhs), spla.spsolve(J, rhs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(9, 17), st.sampled_from(["linear", "pucci-minus", "pucci-plus"]), rngs)
+def test_discrete_comparison(n, kind, rng):
+    # f1 >= f2 and g1 <= g2, strictly at about 70 % of the nodes, give u1 <= u2
+    grid = box(n)
+    f1, g1 = rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(-1.0, 1.0, (n, n))
+    f2 = f1 - rng.uniform(0.0, 0.5, (n, n)) * (rng.random((n, n)) < 0.7)
+    g2 = g1 + rng.uniform(0.0, 0.5, (n, n)) * (rng.random((n, n)) < 0.7)
+    if kind == "linear":
+        a12 = rng.uniform(-1.0, 1.0)
+        a11, a22 = abs(a12) + rng.uniform(0.05, 1.0, 2)
+        A = np.array([[a11, a12], [a12, a22]])
+        b = rng.uniform(-2.0, 2.0, 2)
+        solve = lambda f, g: solve_linear(A, b, f, g)
+    else:
+        solve = lambda f, g: solve_pucci(0.5, 2.0, kind[6:], f, g)
+    u1, _ = solve(GridFunction(2, grid.shape, grid.origin, grid.spacing, f1), g1)
+    u2, _ = solve(GridFunction(2, grid.shape, grid.origin, grid.spacing, f2), g2)
+    assert np.all(u1.values <= u2.values + 1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(9, 17), st.sampled_from(["linear", "pucci-minus", "pucci-plus", "ma"]),
+       st.floats(-10.0, 10.0), rngs)
+def test_constant_shift_of_the_boundary_data_shifts_the_solution(n, kind, c, rng):
+    f = box(n)
+    pts = f.points().reshape(f.shape + (2,))
+    if kind == "ma":
+        f.values[:] = rng.uniform(0.5, 2.0, f.shape)
+        g = 0.5 * np.sum(pts**2, -1) + rng.uniform(-0.2, 0.2) * pts[..., 0]
+    else:
+        f.values[:] = rng.uniform(-1.0, 1.0, f.shape)
+        g = rng.uniform(-1.0, 1.0, f.shape)
+    if kind == "linear":
+        solve = lambda g: solve_linear(np.diag([1.0, 0.5]), [0.3, -0.2], f, g)
+    elif kind == "ma":
+        solve = lambda g: solve_monge_ampere(f, g)
+    else:
+        solve = lambda g: solve_pucci(0.5, 2.0, kind[6:], f, g)
+    u, _ = solve(g)
+    v, _ = solve(g + c)
+    assert np.max(np.abs(v.values - (u.values + c))) <= 1e-9 * (1 + abs(c))
