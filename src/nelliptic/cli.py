@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import json
 import math
 import operator
@@ -141,10 +142,7 @@ def _emit(record, kind, config):
 
 
 def _config_of(args, keys):
-    out = {}
-    for k in keys:
-        v = getattr(args, k.replace("-", "_"), None)
-        out[k] = v
+    out = {k: getattr(args, k.replace("-", "_"), None) for k in keys}
     out["threads"] = args.threads
     return out
 
@@ -396,6 +394,7 @@ def _cmd_fixtures(args):
 # argument parsing
 
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="nelliptic",
@@ -405,8 +404,7 @@ def build_parser():
     ap.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("NELLIPTIC_THREADS", "1")),
-        help="worker threads for per-scale fits (default 1, reproducible)",
+        help="worker threads for per-scale fits (default $NELLIPTIC_THREADS or 1, reproducible)",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -502,8 +500,14 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = build_parser()  # built on the first call only
     args = ap.parse_args(argv)
+    if args.threads is None:  # read per call: the cached parser holds no default
+        env = os.environ.get("NELLIPTIC_THREADS", "1")
+        try:
+            args.threads = int(env)
+        except ValueError:
+            ap.error("NELLIPTIC_THREADS=%r is not an integer" % env)
     try:
         return args.fn(args)
     except NellipticError as exc:

@@ -81,11 +81,10 @@ class SymMatrix:
         return SymMatrix.from_full(np.diag(np.asarray(values, dtype=float)))
 
     def full(self) -> np.ndarray:
-        n = self.dim
-        a = np.zeros((n, n))
-        iu = _triu(n)
-        a[iu] = self.entries
-        return a + np.triu(a, 1).T
+        iu = _triu(self.dim)
+        a = np.empty((self.dim, self.dim))
+        a[iu] = a[iu[::-1]] = self.entries
+        return a + 0.0  # -0.0 entries become 0.0
 
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         if other.dim != self.dim:
@@ -124,13 +123,18 @@ class Jet:
 # eigenvalues (LAPACK, on single matrices and on stacks)
 
 
+def _dense(M) -> np.ndarray:
+    """A SymMatrix, or an array-like matrix or stack, as a float array."""
+    return M.full() if isinstance(M, SymMatrix) else np.asarray(M, dtype=float)
+
+
 def eigenvalues_sym(M, vectors=False):
     """Ascending eigenvalues of a symmetric matrix or a stack M[..., n, n].
 
     With vectors=True also returns the orthogonal Q (columns = eigenvectors)
     with reconstruction residual ||Q diag Q^T - M|| <= 1e-12 * max(1, |M|).
     """
-    a = M.full() if isinstance(M, SymMatrix) else np.asarray(M, dtype=float)
+    a = _dense(M)
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("non-finite entry in eigenvalues_sym input")
     # LAPACK's reflectors read the sign of a zero, so -0.0 and 0.0 entries
@@ -158,7 +162,7 @@ def elementary_symmetric(values, k_max=None):
 def _at_matrices(op, M):
     """op at the Hessian-only jets (M, 0, 0, 0): a float for one matrix, an
     array for a stack."""
-    a = M.full() if isinstance(M, SymMatrix) else np.asarray(M, dtype=float)
+    a = _dense(M)
     zero = np.zeros(a.shape[-1])
     val = evaluate_many(op, a, zero, 0.0, zero)
     return float(val) if val.ndim == 0 else val
@@ -489,27 +493,26 @@ _PRIMES = (
 )
 
 
-def _halton(index: int, dim: int) -> np.ndarray:
-    """Halton point #index (index >= 1) in [0,1)^dim."""
-    out = np.empty(dim)
+def _halton(indices, dim: int) -> np.ndarray:
+    """Halton points #indices in [0,1)^dim, one row per index; an index below
+    1 gives the origin. Object arrays of Python ints stay exact past int64."""
+    out = np.zeros((len(indices), dim))
     for d in range(dim):
-        b = _PRIMES[d]
-        f, x, i = 1.0, 0.0, index
-        while i > 0:
+        b, f, i = _PRIMES[d], 1.0, np.maximum(indices, 0)
+        while np.any(i > 0):
             f /= b
-            x += f * (i % b)
-            i //= b
-        out[d] = x
+            out[:, d] += f * (i % b).astype(float)
+            i = i // b
     return out
 
 
-def _admissible(op: OperatorSpec, M, margin: float):
+def _admissible(op: OperatorSpec, M, margin: float) -> np.ndarray:
     """Sample filter on M[..., n, n]: the (shifted) matrix must sit strictly
     inside the cone where the family is elliptic (Gamma_k for
     sigma/quotient, positive matrices for det)."""
     fam = op.family
     if fam not in ("ma", "sigma", "quotient"):
-        return True
+        return np.ones(M.shape[:-2], dtype=bool)
     if op.shift_poly is not None:
         M = M + op.shift_poly.hessian(np.zeros(M.shape[-1]))
     ev = eigenvalues_sym(M)
@@ -524,14 +527,76 @@ def _norms(M) -> np.ndarray:
     return np.max(np.abs(eigenvalues_sym(M)), axis=-1)
 
 
-def _sample_sym(tri_unit: np.ndarray, n: int, radius: float) -> np.ndarray:
-    """Map a low-discrepancy cube point to a symmetric matrix with spectral
-    radius equal to the requested radius."""
-    A = SymMatrix(n, tuple(2.0 * tri_unit - 1.0)).full()
+def _cube_jets(U, n: int, rho: float, mat_shell=False, p_shell=False):
+    """Jets (M[R, n, n], p[R, n], s[R]) of the cube rows U[R, m + n + 3],
+    laid out as matrix triangle (m = n(n+1)/2) | p direction | p radius | s |
+    matrix radius: |M| = rho * u (rho where mat_shell), |p| = rho * u (rho
+    where p_shell) and s = (2u - 1) rho."""
+    m = n * (n + 1) // 2
+    iu = _triu(n)
+    A = np.empty((len(U), n, n))
+    A[:, iu[0], iu[1]] = A[:, iu[1], iu[0]] = 2.0 * U[:, :m] - 1.0
     nrm = _norms(A)
-    if nrm < 1e-14:
-        return np.zeros((n, n))
-    return (radius / nrm) * A
+    mat_rad = np.where(mat_shell, rho, rho * U[:, m + n + 2])
+    M = (mat_rad / np.maximum(nrm, 1e-14))[:, None, None] * A
+    M[nrm < 1e-14] = 0.0
+    pdir = 2.0 * U[:, m : m + n] - 1.0
+    pn = np.sqrt(np.vecdot(pdir, pdir))  # rounds as np.linalg.norm of one row
+    pdir = np.where(pn[:, None] > 1e-12, pdir / np.maximum(pn, 1e-12)[:, None], 0.0)
+    p = np.where(p_shell, rho, rho * U[:, m + n])[:, None] * pdir
+    return M, p, (2.0 * U[:, m + n + 1] - 1.0) * rho
+
+
+def _accepted_rows(first, width, dim, cap, need, ok_of, k=0):
+    """The in-order acceptance scan: rows of ``width`` consecutive Halton
+    points in [0,1)^dim from index ``first`` on, in blocks that double up to
+    max(need, 4096) rows, until ``need`` are accepted or ``cap`` are read.
+    The row that would be draw k is judged by mask [k % 4 == 1] of ok_of."""
+    rows, read, size = [], 0, max(need, 1)
+    while len(rows) < need and read < cap:
+        size = min(size, cap - read)
+        lo, hi = first + width * read, first + width * (read + size)
+        idx = np.arange(lo, hi, dtype=np.int64 if -(2**63) <= lo and hi <= 2**63 else object)
+        U = _halton(idx, dim).reshape(size, width * dim)
+        masks = ok_of(U)
+        for r in range(size):
+            if len(rows) == need:
+                break
+            read += 1
+            if masks[(k + len(rows)) % 4 == 1][r]:
+                rows.append(U[r])
+        size = min(2 * size, max(need, 4096))
+    return np.reshape(rows, (-1, width * dim))
+
+
+def _probe_draws(op: OperatorSpec, rho, n, samples, pairs, seed, margin):
+    """The probe's jets (M, p, s) and sandwich pairs (M1, M2, segments, p, s).
+
+    Jets: the zero jet, then admissible draws k = 1, 2, ... from the Halton
+    rows seed * 7919 + 2, ..., on the matrix shell when k % 4 == 1 and the
+    gradient shell when k % 4 == 2. Pair a: M1 and p from the point
+    (seed + 1) * 104729 + 1 + 2a, M2 and s from the next one, kept when five
+    points of its segment are admissible. Each reads at most 400 * count."""
+    dim = n * (n + 1) // 2 + n + 3
+    fracs = np.array([0.0, 0.25, 0.5, 0.75, 1.0])[:, None, None]
+
+    def jets_ok(U):
+        return [_admissible(op, _cube_jets(U, n, rho, shell)[0], margin) for shell in (False, True)]
+
+    def pair_of(U):
+        (M1, p, _), (M2, _, s) = _cube_jets(U[:, :dim], n, rho), _cube_jets(U[:, dim:], n, rho)
+        return M1, M2, (1 - fracs) * M1[:, None] + fracs * M2[:, None], p, s
+
+    def pair_ok(U):
+        ok = np.all(_admissible(op, pair_of(U)[2], margin), axis=-1)
+        return ok, ok
+
+    U = _accepted_rows(seed * 7919 + 2, 1, dim, 400 * samples - 1, samples - 1, jets_ok, k=1)
+    k = 1 + np.arange(len(U))
+    jets = _cube_jets(U, n, rho, k % 4 == 1, k % 4 == 2)
+    jets = tuple(np.concatenate([np.zeros((1,) + a.shape[1:]), a]) for a in jets)
+    U = _accepted_rows((seed + 1) * 104729 + 1, 2, dim, 400 * pairs, pairs, pair_ok)
+    return jets, pair_of(U)
 
 
 def _dmf(op: OperatorSpec, M, p, s, x) -> np.ndarray:
@@ -574,19 +639,17 @@ def ellipticity_probe(
     the tolerance 1e-6*(1+|N|); D_M F along each tested segment is folded into
     lambda_hat/Lambda_hat first, so the certificate is self-consistent.
 
-    Cone families (det, sigma_k, quotients) reject samples whose shifted
-    matrix leaves the admissible cone; probing the raw family near the cone
-    tip legitimately reports a degenerate lambda_hat.
-
-    Each phase evaluates its jets in one batch; a failed evaluation raises
-    ProbeDomainError naming the first failing jet in draw order.
+    The jets and pairs are drawn from Halton rows in array blocks
+    (_probe_draws). Cone families (det, sigma_k, quotients) reject draws whose
+    shifted matrix leaves the admissible cone, so the raw family, whose zero
+    jet sits at the cone tip, fails before drawing. Each phase evaluates its
+    jets in one batch; a failed evaluation raises ProbeDomainError naming the
+    first failing jet in draw order.
     """
     if rho <= 0:
         raise ParameterError("probe requires rho > 0")
     margin = 1e-3 * min(1.0, rho)
     m_tri = n * (n + 1) // 2
-    # cube layout: matrix triangle | p direction | p radius | s | matrix radius
-    dim_cube = m_tri + n + 3
     x0 = np.zeros(n)
     iu = _triu(n)
 
@@ -602,16 +665,6 @@ def ellipticity_probe(
                 jet=(tuple(M[j][iu]), tuple(p[j]), float(s[j]), tuple(x0)),
             )
 
-    def draw(u, k):
-        mat_rad = rho if k % 4 == 1 else rho * u[m_tri + n + 2]
-        M = _sample_sym(u[:m_tri], n, mat_rad)
-        pdir = 2.0 * u[m_tri : m_tri + n] - 1.0
-        pn = np.linalg.norm(pdir)
-        pdir = pdir / pn if pn > 1e-12 else np.zeros(n)
-        p_rad = rho if k % 4 == 2 else rho * u[m_tri + n]
-        s = (2.0 * u[m_tri + n + 1] - 1.0) * rho
-        return M, p_rad * pdir, s
-
     # the zero jet is always drawn first, so no draw succeeds without it
     if not _admissible(op, np.zeros((n, n)), margin):
         raise ProbeDomainError(
@@ -619,24 +672,10 @@ def ellipticity_probe(
             " shifted to an admissible jet (--shift-identity)" % op.family,
             jet=(tuple(np.zeros(m_tri)), tuple(x0), 0.0, tuple(x0)),
         )
-    jets = []
-    idx = seed * 7919 + 1
-    attempts = 0
-    while len(jets) < samples and attempts < 400 * samples:
-        attempts += 1
-        u = _halton(idx, dim_cube)
-        idx += 1
-        M, p, s = draw(u, len(jets))
-        if len(jets) == 0:
-            M, p, s = np.zeros((n, n)), np.zeros(n), 0.0
-        if not _admissible(op, M, margin):
-            continue
-        jets.append((M, p, s))
-
-    if len(jets) < max(8, samples // 4):
+    (Mj, pj, sj), (M1, M2, segs, pp, ps) = _probe_draws(op, rho, n, samples, pairs, seed, margin)
+    J = len(Mj)
+    if J < max(8, samples // 4):
         raise ProbeDomainError("could not draw enough admissible probe jets")
-    Mj, pj, sj = (np.array(a) for a in zip(*jets))
-    J = len(jets)
 
     G = batch(_dmf, Mj, pj, sj, per=2 * m_tri)
     ev = eigenvalues_sym(G)
@@ -671,33 +710,11 @@ def ellipticity_probe(
     modulus = list(zip(radii, np.maximum.accumulate(omega).tolist()))
 
     # Pucci-sandwich certification on matrix pairs
-    seg_fracs = np.array([0.0, 0.25, 0.5, 0.75, 1.0])[:, None, None]
-    pending = []
-    pair_idx = (seed + 1) * 104729 + 1
-    attempts = 0
-    while len(pending) < pairs and attempts < 400 * pairs:
-        attempts += 1
-        u1 = _halton(pair_idx, dim_cube)
-        u2 = _halton(pair_idx + 1, dim_cube)
-        pair_idx += 2
-        M1 = _sample_sym(u1[:m_tri], n, rho * u1[m_tri + n + 2])
-        M2 = _sample_sym(u2[:m_tri], n, rho * u2[m_tri + n + 2])
-        segs = (1 - seg_fracs) * M1 + seg_fracs * M2
-        if not np.all(_admissible(op, segs, margin)):
-            continue
-        pdir = 2.0 * u1[m_tri : m_tri + n] - 1.0
-        pn = np.linalg.norm(pdir)
-        pdir = pdir / pn if pn > 1e-12 else np.zeros(n)
-        p = rho * u1[m_tri + n] * pdir
-        s = (2.0 * u2[m_tri + n + 1] - 1.0) * rho
-        pending.append((M1, M2, segs, p, s))
-
     violations = 0
-    if pending:
-        M1, M2, segs, pp, ps = (np.array(a) for a in zip(*pending))
+    if len(M1):
         # segment derivatives first, so the certified constants cover them
+        k = segs.shape[1]
         segs = segs.reshape(-1, n, n)
-        k = len(seg_fracs)
         G = batch(_dmf, segs, np.repeat(pp, k, axis=0), np.repeat(ps, k), per=2 * m_tri)
         ev = eigenvalues_sym(G)
         lam_hat = min(lam_hat, float(np.min(ev[:, 0])))
@@ -732,6 +749,6 @@ def ellipticity_probe(
         c0_hat=c0_hat,
         modulus_samples=modulus,
         violations=violations,
-        samples=len(jets),
+        samples=J,
         notes=notes,
     )

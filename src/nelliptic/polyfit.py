@@ -429,21 +429,18 @@ def minimax_fit(points, values, x0, radius, degree, constraint=None, t_bound=16.
     if constraint is None:
         return fit
 
-    from .operators import Jet, SymMatrix, evaluate  # local import avoids a cycle
+    from .operators import evaluate_many  # local import avoids a cycle
 
     op, f0 = constraint
     if degree < 2:
         raise ParameterError("constrained fits require degree >= 2")
     zero = np.zeros(dim)
     H0 = P.hessian(zero)
-    Dp0 = tuple(P.gradient(zero))
+    Dp0 = P.gradient(zero)
     s0 = P(zero)
 
     def g(t):
-        return (
-            evaluate(op, Jet(SymMatrix.from_full(H0 + t * np.eye(dim)), Dp0, s0, tuple(x0)))
-            - f0
-        )
+        return float(evaluate_many(op, H0 + t * np.eye(dim), Dp0, s0, x0)) - f0
 
     tstar = _solve_t_correction(g, t_bound)
     corr = Polynomial.half_square_norm(dim).scaled(tstar)
@@ -467,25 +464,22 @@ def _solve_t_correction(g, t_bound):
     if abs(g0) < 1e-14:
         return 0.0
     # ellipticity makes g strictly increasing; bracket by expansion
-    lo, hi = None, None
     step = min(1.0, t_bound)
-    t = 0.0
     while step <= t_bound * (1 + 1e-12):
         cand = -step if g0 > 0 else step
         try:
             gc = g(cand)
         except Exception:
-            gc = None
-        if gc is not None and gc == gc:  # not NaN
-            if (g0 > 0 and gc <= 0) or (g0 < 0 and gc >= 0):
-                lo, hi = (cand, 0.0) if cand < 0 else (0.0, cand)
-                break
+            gc = np.nan  # fails every sign test below
+        if (g0 > 0 and gc <= 0) or (g0 < 0 and gc >= 0):
+            lo, hi = (cand, 0.0) if cand < 0 else (0.0, cand)
+            break
         step *= 2.0
-    if lo is None:
+    else:  # no break: no bracket
         raise ConstraintInfeasibleError(
             "no sign change of the compatibility map within |t| <= %g" % t_bound
         )
-    glo, ghi = g(lo), g(hi)
+    glo = g(lo)
     t = 0.5 * (lo + hi)
     for _ in range(200):
         gt = g(t)
@@ -493,19 +487,13 @@ def _solve_t_correction(g, t_bound):
             break
         h = 1e-7 * max(1.0, abs(t))
         dg = (g(t + h) - g(t - h)) / (2 * h)
-        t_new = t - gt / dg if abs(dg) > 1e-14 else None
-        if t_new is None or not (lo < t_new < hi):
-            if gt * glo < 0:
-                hi, ghi = t, gt
-            else:
-                lo, glo = t, gt
-            t_new = 0.5 * (lo + hi)
+        t_new = t - gt / dg if abs(dg) > 1e-14 else np.nan
+        newton = lo < t_new < hi  # else bisect the bracket updated below
+        if gt * glo < 0:
+            hi = t
         else:
-            if gt * glo < 0:
-                hi, ghi = t, gt
-            else:
-                lo, glo = t, gt
-        t = t_new
+            lo, glo = t, gt
+        t = t_new if newton else 0.5 * (lo + hi)
         if hi - lo < 1e-15 * max(1.0, abs(t)):
             break
     return float(t)

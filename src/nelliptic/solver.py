@@ -51,7 +51,7 @@ from .errors import (
     SmallDataError,
 )
 from .grid import GridFunction
-from .operators import OperatorSpec, SymMatrix, evaluate_many
+from .operators import OperatorSpec, _dense, evaluate_many
 
 
 _SCHEMES = (
@@ -218,19 +218,13 @@ def solve_linear(A, b, f: GridFunction, g, config: SolveConfig = None):
     config.for_scheme("five_point_linear")
     if f.dim != 2:
         raise InvalidInputError("solve_linear expects a 2D grid")
-    if isinstance(A, SymMatrix):
-        Af = A.full()
-    else:
-        Af = np.asarray(A, dtype=float)
+    Af = _dense(A)
     ev = np.linalg.eigvalsh(Af)
     if ev[0] <= 0:
         raise ParameterError("coefficient matrix must be positive definite")
     b = np.zeros(2) if b is None else np.asarray(b, dtype=float)
     shape = f.shape
-    A_field = np.empty(shape + (3,))
-    A_field[..., 0] = Af[0, 0]
-    A_field[..., 1] = Af[0, 1]
-    A_field[..., 2] = Af[1, 1]
+    A_field = np.broadcast_to([Af[0, 0], Af[0, 1], Af[1, 1]], shape + (3,))
     b_field = np.broadcast_to(b, shape + (2,))
     gvals = boundary_values(g, f)
     Asp, rhs = _assemble_linear(f, A_field, b_field, f.values, gvals)
@@ -551,10 +545,7 @@ def solve_mean_curvature(
         p1[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2 * h)
         p2[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2 * h)
         w2 = 1.0 + p1**2 + p2**2
-        A_field = np.empty(shape + (3,))
-        A_field[..., 0] = 1.0 - p1 * p1 / w2
-        A_field[..., 1] = -p1 * p2 / w2
-        A_field[..., 2] = 1.0 - p2 * p2 / w2
+        A_field = np.stack([1.0 - p1 * p1 / w2, -p1 * p2 / w2, 1.0 - p2 * p2 / w2], axis=-1)
         rhs = f.values * np.sqrt(w2)
         b_field = np.zeros(shape + (2,))
         try:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from nelliptic.cli import main, parse_expression
 from nelliptic.errors import InvalidInputError, ParameterError
 from nelliptic.grid import GridFunction, read_grid, write_grid
+from nelliptic.operators import Jet, SymMatrix
 from nelliptic.solver import solve_linear
 
 
@@ -341,6 +342,50 @@ class TestExitCodes:
     def test_success_is_0(self, capsys):
         assert main(["fixtures", "list"]) == 0
         capsys.readouterr()
+
+    def test_malformed_threads_variable_is_2(self, monkeypatch):
+        monkeypatch.setenv("NELLIPTIC_THREADS", "abc")
+        rc, out, err = run_cli(["fixtures", "list"])
+        assert (rc, out) == (2, b"")
+        assert b"NELLIPTIC_THREADS" in err and b"Traceback" not in err
+
+    def test_threads_variable_is_read_when_args_are_parsed(self, monkeypatch, capsys):
+        assert main(["fixtures", "list"]) == 0  # the parser exists from here on
+        capsys.readouterr()
+        monkeypatch.setenv("NELLIPTIC_THREADS", "3")
+        assert main(["fixtures", "list"]) == 0
+        rec = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert rec["config"]["threads"] == 3
+
+
+def refuse(self):
+    raise AssertionError("%s built on an internal path" % type(self).__name__)
+
+
+SOLVE = ["solve", "--box=-1,1", "--h", "0.25", "--g", "0.5*(x1^2+x2^2)", "--out", "u.grid"]
+PROBE = ["probe", "--samples", "16", "--pairs", "8", "--op"]
+GUARDED = (
+    [pytest.param(PROBE + [op], "probe", id="probe-" + op)
+     for op in ("pucci+:0.5:2", "pucci-:0.5:2", "mc", "slag")]
+    + [pytest.param(PROBE + [op, "--n", "3", "--shift-identity"], "probe", id="probe-%s+I" % op)
+       for op in ("ma", "sigma:2", "quotient:2:1")]
+    + [pytest.param(["analyze", "--fixture", "quadratic", "--point", "0.1,0", "--degree", "2",
+                     "--levels", "3", "--constrain", "ma:1"], "regularity", id="analyze-ma")]
+    + [pytest.param(SOLVE + ["--eq", eq, "--f", "1"], "solve", id="solve-" + eq)
+       for eq in ("pucci", "ma", "linear")]
+)
+
+
+@pytest.mark.parametrize("argv,kind", GUARDED)
+def test_no_internal_symmatrix_or_jet(argv, kind, tmp_path, monkeypatch, capsys):
+    """SymMatrix and Jet are input types only: no probe, constrained fit or
+    solve builds one on the way."""
+    monkeypatch.setattr(SymMatrix, "__post_init__", refuse)
+    monkeypatch.setattr(Jet, "__post_init__", refuse)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert json.loads(line)["kind"] == kind
 
 
 class TestDeterminism:

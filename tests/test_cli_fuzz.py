@@ -57,7 +57,7 @@ SWITCH = None
 SUBCOMMANDS = {
     "probe": {
         "--op": pick(OPS), "--rho": num(1, 0.5, 0, -1), "--n": whole(1, 2, 3, 0, -1),
-        "--samples": whole(8, 12, 0, -1), "--seed": whole(0, 1, -1), "--pairs": whole(4, 0, -1),
+        "--samples": whole(8, 12, 0, -1), "--seed": whole(0, 1, -1, -7, 100000000000000000000), "--pairs": whole(4, 0, -1),
         "--shift-identity": SWITCH,
     },
     "solve": {

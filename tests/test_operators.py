@@ -453,12 +453,12 @@ def test_triangle_indices_cached_read_only():
 @pytest.mark.parametrize("text", ["ma", "sigma:2", "quotient:2:1"])
 def test_probe_of_an_unshifted_cone_family_fails_before_drawing(text, monkeypatch):
     # the zero jet, drawn first, sits at the tip of the cone: no draw can succeed
-    draws = []
+    draws = []  # one entry per Halton row
     real = operators._halton
 
-    def counted(index, dim):
-        draws.append(index)
-        return real(index, dim)
+    def counted(indices, dim):
+        draws.extend(indices)
+        return real(indices, dim)
 
     monkeypatch.setattr(operators, "_halton", counted)
     with pytest.raises(ProbeDomainError, match="--shift-identity"):
@@ -467,3 +467,139 @@ def test_probe_of_an_unshifted_cone_family_fails_before_drawing(text, monkeypatc
     shifted = shift(OperatorSpec.parse(text), Polynomial.half_square_norm(2), normalize_origin=True)
     ellipticity_probe(shifted, 1.0, 2, samples=16, pairs=4)
     assert len(draws) >= 16
+
+
+# -- the per-draw reference for the probe's block draws ----------------------
+
+
+def halton_point(index, dim):
+    """Halton point #index in [0,1)^dim, digit by digit; the origin for an
+    index below 1."""
+    out = np.empty(dim)
+    for d in range(dim):
+        b = operators._PRIMES[d]
+        f, x, i = 1.0, 0.0, index
+        while i > 0:
+            f /= b
+            x += f * (i % b)
+            i //= b
+        out[d] = x
+    return out
+
+
+def sample_sym(tri_unit, n, radius):
+    """A symmetric matrix with the given spectral radius, from a cube point."""
+    A = SymMatrix(n, tuple(2.0 * tri_unit - 1.0)).full()
+    nrm = np.max(np.abs(eigenvalues_sym(A)))
+    if nrm < 1e-14:
+        return np.zeros((n, n))
+    return (radius / nrm) * A
+
+
+def reference_draws(op, rho, n, samples, seed, pairs):
+    """The probe's jets and sandwich pairs, one Halton point at a time."""
+    margin = 1e-3 * min(1.0, rho)
+    m_tri = n * (n + 1) // 2
+    dim_cube = m_tri + n + 3
+
+    def draw(u, k):
+        mat_rad = rho if k % 4 == 1 else rho * u[m_tri + n + 2]
+        M = sample_sym(u[:m_tri], n, mat_rad)
+        pdir = 2.0 * u[m_tri : m_tri + n] - 1.0
+        pn = np.linalg.norm(pdir)
+        pdir = pdir / pn if pn > 1e-12 else np.zeros(n)
+        p_rad = rho if k % 4 == 2 else rho * u[m_tri + n]
+        s = (2.0 * u[m_tri + n + 1] - 1.0) * rho
+        return M, p_rad * pdir, s
+
+    jets, idx, attempts = [], seed * 7919 + 1, 0
+    while len(jets) < samples and attempts < 400 * samples:
+        attempts += 1
+        M, p, s = draw(halton_point(idx, dim_cube), len(jets))
+        idx += 1
+        if len(jets) == 0:
+            M, p, s = np.zeros((n, n)), np.zeros(n), 0.0
+        if operators._admissible(op, M, margin):
+            jets.append((M, p, s))
+
+    fracs = np.array([0.0, 0.25, 0.5, 0.75, 1.0])[:, None, None]
+    pending, pair_idx, attempts = [], (seed + 1) * 104729 + 1, 0
+    while len(pending) < pairs and attempts < 400 * pairs:
+        attempts += 1
+        u1, u2 = halton_point(pair_idx, dim_cube), halton_point(pair_idx + 1, dim_cube)
+        pair_idx += 2
+        M1 = sample_sym(u1[:m_tri], n, rho * u1[m_tri + n + 2])
+        M2 = sample_sym(u2[:m_tri], n, rho * u2[m_tri + n + 2])
+        segs = (1 - fracs) * M1 + fracs * M2
+        if not np.all(operators._admissible(op, segs, margin)):
+            continue
+        pdir = 2.0 * u1[m_tri : m_tri + n] - 1.0
+        pn = np.linalg.norm(pdir)
+        pdir = pdir / pn if pn > 1e-12 else np.zeros(n)
+        p = rho * u1[m_tri + n] * pdir
+        s = (2.0 * u2[m_tri + n + 1] - 1.0) * rho
+        pending.append((M1, M2, segs, p, s))
+    return jets, pending
+
+
+def assert_bitwise(got, expected, what):
+    """The arrays of ``got`` equal the stacked rows of ``expected``, signed
+    zeros included."""
+    assert len(got[0]) == len(expected), what
+    for a, b in zip(got, zip(*expected)):
+        assert a.tobytes() == np.array(b, dtype=float).tobytes(), what
+
+
+DRAW_SPECS = ["mc", "slag", "pucci+:0.5:2", "pucci-:0.5:2", "ma", "sigma:2", "quotient:2:1"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(DRAW_SPECS),
+    st.integers(1, 3),
+    st.sampled_from([0.3, 1.0, 1.5, 2.5, 4.0]),
+    st.integers(-3, 40) | st.sampled_from([-7919, 10**20]),
+    st.integers(1, 10),
+    st.integers(0, 5),
+)
+def test_block_draws_match_the_per_draw_reference(text, n, rho, seed, samples, pairs):
+    """The probe's block draws give the per-draw loop's jets and pairs bit for
+    bit: the cone families shifted by |x|^2/2, most candidates rejected at
+    the larger radii, and seeds whose first Halton indices are below 1."""
+    op = OperatorSpec.parse(text)
+    if op.family in ("ma", "sigma", "quotient"):
+        assume(op.family == "ma" or op.params[0] <= n)
+        op = shift(op, Polynomial.half_square_norm(n), normalize_origin=True)
+    margin = 1e-3 * min(1.0, rho)
+    jets, pending = reference_draws(op, rho, n, samples, seed, pairs)
+    got_jets, got_pairs = operators._probe_draws(op, rho, n, samples, pairs, seed, margin)
+    assert_bitwise(got_jets, jets, "jets")
+    assert_bitwise(got_pairs, pending, "pairs")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(-50, 10**6) | st.just(10**20),
+    st.integers(1, 2),
+    st.integers(0, 300),
+    st.integers(0, 40),
+    st.integers(0, 3),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+)
+def test_acceptance_scan_matches_the_per_row_loop(first, width, cap, need, k, cut, shell_cut):
+    """The scan reads rows in order, judges the row that would be draw k by
+    the shell mask when k % 4 == 1, and stops at ``need`` accepted or ``cap``
+    read; low cuts make the cap bind."""
+    def ok_of(U):
+        return U[:, 0] < cut, U[:, 0] < shell_cut
+
+    rows, read = [], 0
+    while len(rows) < need and read < cap:
+        u = np.concatenate([halton_point(first + width * read + j, 1) for j in range(width)])
+        read += 1
+        if u[0] < (shell_cut if (k + len(rows)) % 4 == 1 else cut):
+            rows.append(u)
+    got = operators._accepted_rows(first, width, 1, cap, need, ok_of, k)
+    assert got.shape == (len(rows), width)
+    assert got.tobytes() == np.reshape(rows, (-1, width)).tobytes()
