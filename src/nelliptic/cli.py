@@ -25,7 +25,8 @@ where the value is not a finite real is an InvalidInputError.
 Reports are JSON lines on stdout; each record carries its resolved
 configuration, so a single record suffices to rerun. Identical argv and seeds
 produce byte-identical streams. Exit codes: 0 success, 2 usage error,
-3 numeric failure (the error is emitted as a report record).
+3 numeric failure (the error is emitted as a report record). A closed stdout
+drops the records that follow and keeps the exit code.
 """
 
 from __future__ import annotations
@@ -138,7 +139,13 @@ def parse_expression(text):
 def _emit(record, kind, config):
     rec = {"kind": kind, "config": config}
     rec.update(record)
-    sys.stdout.write(json.dumps(rec, sort_keys=True) + "\n")
+    try:
+        sys.stdout.write(json.dumps(rec, sort_keys=True) + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: later records and the flush at exit go to
+        # devnull, so the run ends with its own exit code and no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _config_of(args, keys):

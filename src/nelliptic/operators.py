@@ -137,9 +137,15 @@ def eigenvalues_sym(M, vectors=False):
     a = _dense(M)
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("non-finite entry in eigenvalues_sym input")
-    # LAPACK's reflectors read the sign of a zero, so -0.0 and 0.0 entries
-    # would round differently; adding 0.0 turns every -0.0 into 0.0
-    a = (a + np.swapaxes(a, -1, -2)) / 2.0 + 0.0
+    a = (a + np.swapaxes(a, -1, -2)) / 2.0
+    # LAPACK's reflectors go wrong on entries about 1e-160 of a matrix's
+    # largest (their squares are subnormal), so entries up to 1e-150 of it
+    # become 0.0, which moves an eigenvalue by at most n 1e-150 max|a|. They
+    # also read the sign of a zero; the <= makes every -0.0 a 0.0, also in a
+    # zero matrix
+    mag = np.abs(a)
+    cut = 1e-150 * mag.max(axis=(-2, -1), keepdims=True, initial=0.0)
+    a = np.where(mag <= cut, 0.0, a)
     return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
 
 
@@ -540,8 +546,12 @@ def _cube_jets(U, n: int, rho: float, mat_shell=False, p_shell=False):
     mat_rad = np.where(mat_shell, rho, rho * U[:, m + n + 2])
     M = (mat_rad / np.maximum(nrm, 1e-14))[:, None, None] * A
     M[nrm < 1e-14] = 0.0
-    pdir = 2.0 * U[:, m : m + n] - 1.0
-    pn = np.sqrt(np.vecdot(pdir, pdir))  # rounds as np.linalg.norm of one row
+    # a non-FMA ddot (OpenBLAS's Prescott kernel) rounds by the 16-byte
+    # alignment of its vector; rows of even width all start aligned, as a
+    # one-row array does, so |pdir| rounds as np.linalg.norm of one row
+    pdir = np.empty((len(U), n + n % 2))[:, :n]
+    pdir[:] = 2.0 * U[:, m : m + n] - 1.0
+    pn = np.sqrt(np.vecdot(pdir, pdir))
     pdir = np.where(pn[:, None] > 1e-12, pdir / np.maximum(pn, 1e-12)[:, None], 0.0)
     p = np.where(p_shell, rho, rho * U[:, m + n])[:, None] * pdir
     return M, p, (2.0 * U[:, m + n + 1] - 1.0) * rho

@@ -54,37 +54,20 @@ from .grid import GridFunction
 from .operators import OperatorSpec, _dense, evaluate_many
 
 
-_SCHEMES = (
-    "auto",
-    "five_point_linear",
-    "wide_stencil_pucci",
-    "wide_stencil_ma",
-    "frozen_coefficient_mc",
-)
-
-
 @dataclass
 class SolveConfig:
-    scheme: str = "auto"
+    """The settings a caller sets; the solver function called is the scheme.
+    ``stencil_directions`` is the wide stencils' m."""
+
     stencil_directions: int = 8
     tol: float = 1e-10
     max_iters: int = 80
-    damping: float = 0.5
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ParameterError("tol must be positive")
         if self.stencil_directions < 2 or self.stencil_directions % 2:
             raise ParameterError("stencil_directions must be even and >= 2")
-        if self.scheme not in _SCHEMES:
-            raise ParameterError("unknown scheme %r" % (self.scheme,))
-
-    def for_scheme(self, name):
-        if self.scheme not in ("auto", name):
-            raise ParameterError(
-                "config requests scheme %r but the solver uses %r" % (self.scheme, name)
-            )
-        return name
 
 
 @dataclass(frozen=True)
@@ -215,7 +198,6 @@ def solve_linear(A, b, f: GridFunction, g, config: SolveConfig = None):
     definite) and constant drift b; returns (u, SolveInfo) with the residual
     max |A u - rhs| of the direct solve."""
     config = config or SolveConfig()
-    config.for_scheme("five_point_linear")
     if f.dim != 2:
         raise InvalidInputError("solve_linear expects a 2D grid")
     Af = _dense(A)
@@ -384,12 +366,11 @@ class _WideStencilProblem:
         f0 = self.f if rhs is None else GridFunction(
             2, self.shape, self.f.origin, self.h, rhs
         )
-        cfg = SolveConfig(tol=self.config.tol, max_iters=self.config.max_iters)
-        return solve_linear(np.eye(2), None, f0, self.gvals, cfg)[0].values
+        return solve_linear(np.eye(2), None, f0, self.gvals, self.config)[0].values
 
     def solve(self, init_rhs=None):
-        """Damped Newton; after repeated failures, 10 rounds of nodal
-        bisection sweeps. Returns (u, SolveInfo)."""
+        """Damped Newton, halving the step up to 8 times until the max residual
+        falls; after 3 failed steps or a failed solve, 10 nodal bisection sweeps."""
         cfg = self.config
         u = self.initial_iterate(init_rhs)
         history = []
@@ -417,7 +398,7 @@ class _WideStencilProblem:
                         u, (res, D, active) = cand, cand_eval
                         stepped = True
                         break
-                    alpha *= cfg.damping
+                    alpha *= 0.5
             if stepped:
                 fails = 0
                 continue
@@ -477,7 +458,6 @@ def solve_pucci(lam, Lam, sign, f: GridFunction, g, config: SolveConfig = None):
     if sign not in ("plus", "minus"):
         raise ParameterError("sign must be 'plus' or 'minus'")
     config = config or SolveConfig()
-    config.for_scheme("wide_stencil_pucci")
     prob = _WideStencilProblem(f, g, config, *_pucci_scheme(lam, Lam, sign))
     return prob.solve()
 
@@ -494,7 +474,6 @@ def solve_monge_ampere(f: GridFunction, g, config: SolveConfig = None):
     the iteration stays strictly monotone everywhere.
     """
     config = config or SolveConfig()
-    config.for_scheme("wide_stencil_ma")
     if np.any(f.values <= 0):
         raise AdmissibilityError("determinant equation requires f > 0")
     K = 1.0 + float(np.max(f.values))
@@ -514,7 +493,6 @@ def solve_mean_curvature(
     detrended boundary oscillation must not exceed delta_guard.
     """
     config = config or SolveConfig()
-    config.for_scheme("frozen_coefficient_mc")
     if f.dim != 2:
         raise InvalidInputError("solve_mean_curvature expects a 2D grid")
     gvals = boundary_values(g, f)
@@ -534,8 +512,7 @@ def solve_mean_curvature(
             "oscillation=%g" % (delta_guard, fmax, osc)
         )
 
-    init_cfg = SolveConfig(tol=config.tol, max_iters=config.max_iters)
-    u = solve_linear(np.eye(2), None, f, gvals, init_cfg)[0].values
+    u = solve_linear(np.eye(2), None, f, gvals, config)[0].values
     h = f.spacing
     shape = f.shape
     scale0 = float(np.max(np.abs(u))) + 1.0

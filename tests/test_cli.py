@@ -1,6 +1,7 @@
 import json
 import math
 import operator
+import os
 import subprocess
 import sys
 
@@ -356,6 +357,19 @@ class TestExitCodes:
         assert main(["fixtures", "list"]) == 0
         rec = json.loads(capsys.readouterr().out.splitlines()[0])
         assert rec["config"]["threads"] == 3
+
+    @pytest.mark.parametrize("args,code", [(["fixtures", "list"], 0),
+                                           (["probe", "--op", "ma"], 3)])
+    def test_closed_stdout_keeps_the_exit_code(self, args, code):
+        # stdout is a pipe whose reader is gone before the first record
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "nelliptic.cli"] + args,
+                                  stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (code, b"")
 
 
 def refuse(self):

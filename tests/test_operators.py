@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -363,8 +363,20 @@ sym_stack_pairs = st.integers(1, 5).flatmap(
 LAM, BIG_LAM = 0.5, 3.0
 
 
+def tiny_beside_unit_pair():
+    """A[2] is 0.5 at (0,1), (0,2) and their mirrors; B[2] adds 1.58e-161
+    everywhere else. Unflushed, LAPACK gave A[2] + B[2] the eigenvalues
+    +-1.41576 in place of +-sqrt(2)."""
+    A = np.zeros((4, 5, 5))
+    A[2, 0, 1:3] = A[2, 1:3, 0] = 0.5
+    B = np.where(A == 0.0, 1.5827927344330057e-161, A)
+    B[[0, 1, 3]] = 0.0
+    return A, B
+
+
 @settings(max_examples=200, deadline=None)
 @given(sym_stack_pairs)
+@example(tiny_beside_unit_pair())
 def test_pucci_identities(pair):
     A, B = pair
     tol = 1e-12 * (1.0 + np.abs(A).sum() + np.abs(B).sum())
