@@ -135,17 +135,24 @@ def eigenvalues_sym(M, vectors=False):
     with reconstruction residual ||Q diag Q^T - M|| <= 1e-12 * max(1, |M|).
     """
     a = _dense(M)
-    if not np.all(np.isfinite(a)):
+    return _eigh((a + np.swapaxes(a, -1, -2)) / 2.0, vectors)
+
+
+def _eigh(a, vectors=False):
+    """eigenvalues_sym of a symmetric stack; InvalidInputError if not finite."""
+    mag = np.abs(a)
+    top = mag.max(initial=0.0)
+    if not math.isfinite(top):
         raise InvalidInputError("non-finite entry in eigenvalues_sym input")
-    a = (a + np.swapaxes(a, -1, -2)) / 2.0
     # LAPACK's reflectors go wrong on entries about 1e-160 of a matrix's
     # largest (their squares are subnormal), so entries up to 1e-150 of it
     # become 0.0, which moves an eigenvalue by at most n 1e-150 max|a|. They
-    # also read the sign of a zero; the <= makes every -0.0 a 0.0, also in a
-    # zero matrix
-    mag = np.abs(a)
-    cut = 1e-150 * mag.max(axis=(-2, -1), keepdims=True, initial=0.0)
-    a = np.where(mag <= cut, 0.0, a)
+    # also read the sign of a zero, so every -0.0 becomes 0.0. The per-matrix
+    # pass runs only if the stack has a nonzero entry up to 1e-150 of its max
+    if mag.min(where=mag > 0.0, initial=np.inf) <= 1e-150 * top:
+        a = np.where(mag <= 1e-150 * mag.max(axis=(-2, -1), keepdims=True), 0.0, a)
+    else:
+        a = a + 0.0
     return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
 
 
@@ -378,16 +385,17 @@ def evaluate_many(op: OperatorSpec, M, p, s, x) -> np.ndarray:
     n = M.shape[-1]
     if M.shape[-2] != n or p.shape[-1] != n or x.shape[-1] != n:
         raise InvalidInputError("jet components must share dimension n")
-    if not np.all(np.isfinite(M)):
-        raise InvalidInputError("non-finite entry in a jet Hessian")
     shape = np.broadcast_shapes(M.shape[:-2], p.shape[:-1], s.shape, x.shape[:-1])
     M = (M + np.swapaxes(M, -1, -2)) / 2.0
+    if not np.isfinite(M).all():
+        raise InvalidInputError("non-finite entry in a jet Hessian")
     if op.shift_poly is not None:
         if op.shift_poly.dim != n:
             raise InvalidInputError("shift polynomial dimension mismatch")
         H, grad, val = _shift_jet(op.shift_poly, x)
         M, p, s = M + H, p + grad, s + val
-    M = np.broadcast_to(M, shape + (n, n))
+    if M.shape[:-2] != shape:
+        M = np.broadcast_to(M, shape + (n, n))
 
     fam = op.family
     if fam == "linear":
@@ -401,11 +409,11 @@ def evaluate_many(op: OperatorSpec, M, p, s, x) -> np.ndarray:
         coeff = (np.eye(n) - outer) / np.sqrt(w2)[..., None, None]
         out = np.sum(coeff * M, axis=(-2, -1))
     else:
-        ev = eigenvalues_sym(M)
+        ev = _eigh(M)
         if fam in ("pucci+", "pucci-"):
             lam, Lam = op.params
-            pos = np.sum(np.where(ev > 0, ev, 0.0), axis=-1)
-            neg = np.sum(np.where(ev < 0, ev, 0.0), axis=-1)
+            pos = np.where(ev > 0, ev, 0.0).sum(axis=-1)
+            neg = np.where(ev < 0, ev, 0.0).sum(axis=-1)
             out = Lam * pos + lam * neg if fam == "pucci+" else lam * pos + Lam * neg
         elif fam == "ma":
             out = np.prod(ev, axis=-1)
@@ -425,7 +433,8 @@ def evaluate_many(op: OperatorSpec, M, p, s, x) -> np.ndarray:
                         index=int(np.flatnonzero(zero)[0]),
                     )
                 out = out / e[..., op.params[1]]
-    return np.broadcast_to(out - op.offset, shape)
+    out = np.asarray(out - op.offset)
+    return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
 def evaluate(op: OperatorSpec, jet: Jet) -> float:
@@ -502,14 +511,20 @@ _PRIMES = (
 def _halton(indices, dim: int) -> np.ndarray:
     """Halton points #indices in [0,1)^dim, one row per index; an index below
     1 gives the origin. Object arrays of Python ints stay exact past int64."""
-    out = np.zeros((len(indices), dim))
-    for d in range(dim):
-        b, f, i = _PRIMES[d], 1.0, np.maximum(indices, 0)
-        while np.any(i > 0):
-            f /= b
-            out[:, d] += f * (i % b).astype(float)
-            i = i // b
-    return out
+    i = np.maximum(indices, 0)[None]
+    top, q = int(i.max(initial=0)), np.array(_PRIMES[:dim])[:, None]
+    b, out, f = q.astype(i.dtype), np.zeros((dim, len(indices))), np.ones((dim, 1))
+    # digit k of every index, least significant first, in the dims d < a; a
+    # dim keeps digits while b_d^k <= top, so a prefix of rows, as bases grow
+    k, a = 0, dim
+    while a:
+        j = i[:a] // b[:a]
+        f[:a] /= q[:a]
+        out[:a] += f[:a] * (i[:a] - j * b[:a]).astype(float)
+        i, k = j, k + 1
+        while a and _PRIMES[a - 1] ** k > top:
+            a -= 1
+    return out.T
 
 
 def _admissible(op: OperatorSpec, M, margin: float) -> np.ndarray:
@@ -533,19 +548,24 @@ def _norms(M) -> np.ndarray:
     return np.max(np.abs(eigenvalues_sym(M)), axis=-1)
 
 
+def _cube_matrices(U, n: int, radii):
+    """The matrices 2u - 1 of the triangle columns of the cube rows U, scaled
+    to each spectral radius in ``radii`` (0 where 2u - 1 vanishes)."""
+    iu = _triu(n)
+    A = np.empty((len(U), n, n))
+    A[:, iu[0], iu[1]] = A[:, iu[1], iu[0]] = 2.0 * U[:, : len(iu[0])] - 1.0
+    nrm = _norms(A)
+    zero = (nrm < 1e-14)[:, None, None]
+    return [np.where(zero, 0.0, (r / np.maximum(nrm, 1e-14))[:, None, None] * A) for r in radii]
+
+
 def _cube_jets(U, n: int, rho: float, mat_shell=False, p_shell=False):
     """Jets (M[R, n, n], p[R, n], s[R]) of the cube rows U[R, m + n + 3],
     laid out as matrix triangle (m = n(n+1)/2) | p direction | p radius | s |
     matrix radius: |M| = rho * u (rho where mat_shell), |p| = rho * u (rho
     where p_shell) and s = (2u - 1) rho."""
     m = n * (n + 1) // 2
-    iu = _triu(n)
-    A = np.empty((len(U), n, n))
-    A[:, iu[0], iu[1]] = A[:, iu[1], iu[0]] = 2.0 * U[:, :m] - 1.0
-    nrm = _norms(A)
-    mat_rad = np.where(mat_shell, rho, rho * U[:, m + n + 2])
-    M = (mat_rad / np.maximum(nrm, 1e-14))[:, None, None] * A
-    M[nrm < 1e-14] = 0.0
+    (M,) = _cube_matrices(U, n, [np.where(mat_shell, rho, rho * U[:, m + n + 2])])
     # a non-FMA ddot (OpenBLAS's Prescott kernel) rounds by the 16-byte
     # alignment of its vector; rows of even width all start aligned, as a
     # one-row array does, so |pdir| rounds as np.linalg.norm of one row
@@ -591,7 +611,7 @@ def _probe_draws(op: OperatorSpec, rho, n, samples, pairs, seed, margin):
     fracs = np.array([0.0, 0.25, 0.5, 0.75, 1.0])[:, None, None]
 
     def jets_ok(U):
-        return [_admissible(op, _cube_jets(U, n, rho, shell)[0], margin) for shell in (False, True)]
+        return [_admissible(op, M, margin) for M in _cube_matrices(U, n, (rho * U[:, -1], rho))]
 
     def pair_of(U):
         (M1, p, _), (M2, _, s) = _cube_jets(U[:, :dim], n, rho), _cube_jets(U[:, dim:], n, rho)

@@ -392,6 +392,62 @@ def test_pucci_identities(pair):
     assert np.all(minus(A + B) <= minus(A) + plus(B) + tol)
 
 
+def ungated_flush_eigenvalues(M, vectors=False):
+    """eigenvalues_sym with the flush run on every matrix of the stack: the
+    entries up to 1e-150 of the matrix's largest become 0.0."""
+    a = symmetrize(np.asarray(M, dtype=float))
+    mag = np.abs(a)
+    a = np.where(mag <= 1e-150 * mag.max(axis=(-2, -1), keepdims=True, initial=0.0), 0.0, a)
+    return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+
+
+tiny = st.sampled_from([1.5827927344330057e-161, 1e-150, 1e-300, 2.2e-308, 5e-324])
+scales = st.sampled_from([0.0, 1.0]) | st.integers(-300, 300).map(lambda e: 10.0**e)
+
+
+@st.composite
+def scaled_stacks(draw):
+    """Stacks of 1 to 6 matrices that mix tiny entries and -0.0, each matrix
+    scaled by 0 (an all-zero matrix) or by 1e-300 to 1e300."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entry = entries | st.just(-0.0) | tiny | tiny.map(lambda t: -t)
+    A = draw(arrays(float, (k, n, n), elements=entry))
+    return A * draw(arrays(float, (k, 1, 1), elements=scales))
+
+
+def unit_among_tiny():
+    """1 at (0,1), (0,2) and their mirrors, 1.58e-161 elsewhere: unflushed,
+    LAPACK gave the eigenvalues +-1.41576 in place of +-sqrt(2)."""
+    A = np.full((1, 5, 5), 1.5827927344330057e-161)
+    A[0, 0, 1:3] = A[0, 1:3, 0] = 1.0
+    return A
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_stacks(), st.booleans())
+@example(unit_among_tiny(), False)
+@example(unit_among_tiny(), True)
+def test_gated_flush_equals_the_per_matrix_flush(M, vectors):
+    got, expected = eigenvalues_sym(M, vectors), ungated_flush_eigenvalues(M, vectors)
+    if not vectors:
+        got, expected = (got,), (expected,)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in expected]
+
+
+@pytest.mark.parametrize(
+    "M",
+    [[[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]], [[0.0, 1.5e308], [1.5e308, 0.0]]],
+    ids=["inf", "nan", "overflows-when-symmetrized"],
+)
+@pytest.mark.parametrize("text", ["eigenvalues", "pucci+:0.5:2", "mc", "linear:1,0,1"])
+def test_nonfinite_hessians_are_rejected(M, text):
+    with pytest.raises(InvalidInputError):
+        if text == "eigenvalues":
+            eigenvalues_sym(np.array(M))
+        else:
+            evaluate_many(OperatorSpec.parse(text), M, np.zeros(2), 0.0, np.zeros(2))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(FAMILY_SPECS[:2] + FAMILY_SPECS[3:]), st.integers(2, 4), st.data())
 def test_monotone_in_the_hessian(text, n, data):
@@ -497,6 +553,46 @@ def halton_point(index, dim):
             i //= b
         out[d] = x
     return out
+
+
+block_firsts = (
+    st.integers(-(2**63), 2**63 - 1)
+    | st.integers(2**63 - 4096, 10**20)
+    | st.sampled_from([-4096, 0, 1, 2**63 - 4096])
+)
+prime_powers = st.tuples(st.sampled_from(operators._PRIMES[:12]), st.integers(1, 64))
+spikes = (
+    st.integers(-(2**63), 10**20)
+    | st.sampled_from([2**63 - 1, 2**63, -1, 0, 1])
+    | prime_powers.map(lambda bk: bk[0] ** bk[1])
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    block_firsts,
+    st.integers(1, 4096),
+    st.integers(1, 12),
+    st.lists(st.tuples(st.integers(0, 4095), spikes), max_size=3),
+    st.lists(st.integers(0, 4095), max_size=6),
+)
+@example(first=0, size=8, dim=12, spiked=[(3, 3**5)], rows=[])
+def test_halton_block_matches_the_digit_loop(first, size, dim, spiked, rows):
+    """Block rows equal halton_point bit for bit: consecutive indices from
+    ``first``, a few replaced by ``spiked`` ones (the largest may be a power
+    of a base); indices <= 0 give the origin, int64 blocks reach 2^63 - 1,
+    object blocks go past it, and an int64 block equals its object copy."""
+    values = [first + r for r in range(size)]
+    for r, v in spiked:
+        values[r % size] = v
+    rows = {r % size for r in rows} | {r % size for r, _ in spiked}
+    rows = sorted(rows | {0, size - 1, values.index(max(values))})
+    expected = np.array([halton_point(values[r], dim) for r in rows])
+    got = operators._halton(np.array(values, dtype=object), dim)
+    assert got.shape == (size, dim)
+    assert got[rows].tobytes() == expected.tobytes()
+    if all(-(2**63) <= v < 2**63 for v in values):
+        assert operators._halton(np.array(values, dtype=np.int64), dim).tobytes() == got.tobytes()
 
 
 def sample_sym(tri_unit, n, radius):
