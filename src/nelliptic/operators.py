@@ -230,6 +230,9 @@ DEFAULT_PROBE_RHO = {
     "quotient": 0.5,
     "slag": 1.0,
 }
+# the probe measures jet distances up to 2 rho by sums of squares, which
+# stay finite up to here
+_RHO_MAX = 1e150
 
 
 # text form of each family's spec: one colon per parameter (linear's b and c
@@ -527,12 +530,15 @@ def _halton(indices, dim: int) -> np.ndarray:
     return out.T
 
 
+_CONE_FAMILIES = ("ma", "sigma", "quotient")  # the families _admissible filters
+
+
 def _admissible(op: OperatorSpec, M, margin: float) -> np.ndarray:
     """Sample filter on M[..., n, n]: the (shifted) matrix must sit strictly
     inside the cone where the family is elliptic (Gamma_k for
     sigma/quotient, positive matrices for det)."""
     fam = op.family
-    if fam not in ("ma", "sigma", "quotient"):
+    if fam not in _CONE_FAMILIES:
         return np.ones(M.shape[:-2], dtype=bool)
     if op.shift_poly is not None:
         M = M + op.shift_poly.hessian(np.zeros(M.shape[-1]))
@@ -621,6 +627,9 @@ def _probe_draws(op: OperatorSpec, rho, n, samples, pairs, seed, margin):
         ok = np.all(_admissible(op, pair_of(U)[2], margin), axis=-1)
         return ok, ok
 
+    if op.family not in _CONE_FAMILIES:  # every draw is admissible: build no matrices
+        jets_ok = pair_ok = lambda U: [np.ones(len(U), dtype=bool)] * 2
+
     U = _accepted_rows(seed * 7919 + 2, 1, dim, 400 * samples - 1, samples - 1, jets_ok, k=1)
     k = 1 + np.arange(len(U))
     jets = _cube_jets(U, n, rho, k % 4 == 1, k % 4 == 2)
@@ -676,8 +685,8 @@ def ellipticity_probe(
     jets in one batch; a failed evaluation raises ProbeDomainError naming the
     first failing jet in draw order.
     """
-    if rho <= 0:
-        raise ParameterError("probe requires rho > 0")
+    if not 0 < rho <= _RHO_MAX:
+        raise ParameterError("probe requires 0 < rho <= %g (--rho)" % _RHO_MAX)
     margin = 1e-3 * min(1.0, rho)
     m_tri = n * (n + 1) // 2
     x0 = np.zeros(n)

@@ -372,6 +372,18 @@ class TestExitCodes:
         assert (proc.returncode, proc.stderr) == (code, b"")
 
 
+def test_probe_radius_too_large_for_its_arithmetic_is_an_error_record():
+    # 2 rho squared overflows: the probe refuses the radius before any
+    # arithmetic, so no numpy warning reaches stderr
+    argv = ["probe", "--op", "pucci+:1:2", "--rho", "1e308", "--samples", "8", "--pairs", "2"]
+    code, out, err = run_cli(argv)
+    (line,) = out.decode().splitlines()
+    rec = json.loads(line)
+    assert (code, err) == (3, b"")
+    assert (rec["kind"], rec["error"]) == ("error", "ParameterError")
+    assert "--rho" in rec["message"]
+
+
 def refuse(self):
     raise AssertionError("%s built on an internal path" % type(self).__name__)
 

@@ -195,6 +195,158 @@ class TestBlockEnvelope:
 
 
 # ---------------------------------------------------------------------------
+# the block loop as the reference of the slice-tested sweeps
+
+
+def block_line_block(nr, nc, direction, lo, hi):
+    line = np.arange(lo, hi)[:, None]
+    if direction == 0:
+        return line * nc + np.arange(nc)
+    r = np.arange(nr)
+    if direction == 1:
+        return r * nc + line
+    c = r + line - (nr - 1)
+    if direction == 3:
+        c = (nc - 1) - c
+    return np.where((c >= 0) & (c < nc), r * nc + c, -1)
+
+
+def block_sweep(flat, fmask, nr, nc, direction):
+    """Hull every line of one direction in blocks of 32, in place; the
+    largest change of a masked node."""
+    lines = (nr, nc, nr + nc - 1, nr + nc - 1)[direction]
+    change = 0.0
+    for lo in range(0, lines, 32):
+        idx = block_line_block(nr, nc, direction, lo, min(lo + 32, lines))
+        line_mask = (idx >= 0) & fmask[np.maximum(idx, 0)]
+        old = flat[np.maximum(idx, 0)]
+        new = geometry._hull_lines(old, line_mask)
+        change = max(change, float(np.max(np.abs(new - old)[line_mask], initial=0.0)))
+        flat[idx[line_mask]] = new[line_mask]
+    return change
+
+
+def block_convexify(values, mask=None, tol_scale=1.0):
+    v = values.astype(float).copy()
+    if mask is None:
+        mask = np.ones(v.shape, dtype=bool)
+    tol = 1e-13 * (1.0 + tol_scale)
+    if v.ndim == 1:
+        return geometry._hull_lines(v[None], mask[None])[0]
+    nr, nc = v.shape
+    for _ in range(500):
+        change = max(block_sweep(v.ravel(), mask.ravel(), nr, nc, d) for d in range(4))
+        if change <= tol:
+            break
+    return v
+
+
+# signed zeros, binary and decimal lattices (exact and rounded ties), and
+# anything
+EDGY = st.one_of(st.sampled_from([-0.0, 0.0]), VALUES)
+
+
+@st.composite
+def run_mask(draw, shape):
+    """None, or a mask of short runs (1, 2 or 3 nodes) between gaps, read
+    row by row, so runs touch the grid edges and wrap."""
+    if draw(st.booleans()):
+        return None
+    size = int(np.prod(shape))
+    bits = []
+    while len(bits) < size:
+        bits += [True] * draw(st.integers(1, 4)) + [False] * draw(st.integers(0, 2))
+    return np.array(bits[:size]).reshape(shape)
+
+
+@st.composite
+def sweep_data(draw):
+    """(values, mask) on grids of 1 to 12 nodes a side: edgy values
+    anywhere, or a strictly convex lattice quadratic with a few dents, so one
+    direction holds both lines that drop nodes and lines that do not."""
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    if draw(st.booleans()):
+        values = draw(arrays(float, shape, elements=EDGY))
+    else:
+        r, c = np.indices(shape)
+        values = (draw(st.integers(-2, 2)) * r + (r - c) ** 2 + 2 * c**2) / draw(
+            st.sampled_from([1.0, 4.0, 10.0])
+        )
+        dents = np.zeros(shape, dtype=bool)
+        for _ in range(draw(st.integers(0, 3))):
+            dents[draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))] = True
+        values = np.where(dents, values + draw(EDGY), values)
+        values[values == 0.0] = -0.0 if draw(st.booleans()) else 0.0
+    mask = draw(st.one_of(run_mask(shape), arrays(bool, shape)))
+    return values, mask
+
+
+def bitwise(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestSliceSweeps:
+    """Lines whose nodes all pass the slice test skip the hull passes, yet
+    every value and every sweep change equals the block loop's bit for
+    bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_data(), st.integers(0, 3))
+    def test_one_direction_equals_the_block_pass(self, data, direction):
+        values, mask = data
+        mask = np.ones(values.shape, dtype=bool) if mask is None else mask
+        v, ref = values.copy(), values.copy()
+        change = geometry._sweep_direction(v, mask, direction)
+        ref_change = block_sweep(ref.ravel(), mask.ravel(), *values.shape, direction)
+        assert np.array_equal(bitwise(v), bitwise(ref))
+        assert bitwise(change) == bitwise(ref_change)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sweep_data())
+    def test_convexify_equals_the_block_loop(self, data):
+        values, mask = data
+        new = _convexify(values, mask=mask)
+        assert np.array_equal(bitwise(new), bitwise(block_convexify(values, mask)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40).flatmap(
+        lambda m: st.tuples(arrays(float, m, elements=EDGY), run_mask((m,)))))
+    def test_1d_line_equals_the_block_loop(self, data):
+        values, mask = data
+        assert np.array_equal(bitwise(_convexify(values, mask=mask)),
+                              bitwise(block_convexify(values, mask)))
+
+    def test_non_square_grid_needing_several_sweeps(self):
+        rng = np.random.default_rng(7)
+        r, c = np.indices((23, 41))
+        values = ((r - 11.0) ** 2 + (c - 20.0) ** 2) / 16.0
+        values[rng.random(values.shape) < 0.02] -= 3.0
+        mask = rng.random(values.shape) < 0.9
+        new = _convexify(values, mask=mask, tol_scale=float(np.max(np.abs(values))))
+        ref = block_convexify(values, mask, float(np.max(np.abs(values))))
+        assert np.array_equal(bitwise(new), bitwise(ref))
+        assert not np.array_equal(new, values)  # the dents were hulled
+
+    def test_convex_lines_skip_the_hull_passes(self, monkeypatch):
+        # a paraboloid on the ball of a 65^2 grid: every line is convex
+        hulled = []
+        real = geometry._hull_lines
+
+        def counted(v, mask):
+            hulled.append(len(v))
+            return real(v, mask)
+
+        r, c = np.indices((65, 65)) - 32.0
+        ball = r**2 + c**2 <= 32.0**2
+        values = np.where(ball, (r**2 + c**2 - 32.0**2) / 4096.0, 0.0)
+        monkeypatch.setattr(geometry, "_hull_lines", counted)
+        new = _convexify(values, mask=ball)
+        assert hulled == []
+        monkeypatch.undo()
+        assert np.array_equal(bitwise(new), bitwise(block_convexify(values, ball)))
+
+
+# ---------------------------------------------------------------------------
 # per-ray reference section
 
 

@@ -292,8 +292,10 @@ class TestProbe:
         assert sc.lambda_hat <= sc.Lambda_hat
 
     def test_bad_rho(self):
-        with pytest.raises(ParameterError):
-            ellipticity_probe(OperatorSpec.mean_curvature(), 0.0, 2)
+        # past 1e150 the probe's sums of squares of jet distances overflow
+        for rho in (0.0, -1.0, 2e150, 1e308, math.inf, math.nan):
+            with pytest.raises(ParameterError, match="rho"):
+                ellipticity_probe(OperatorSpec.mean_curvature(), rho, 2)
 
     def test_determinism(self):
         a = ellipticity_probe(OperatorSpec.mean_curvature(), 1.0, 2, samples=40, pairs=10, seed=5)
@@ -535,6 +537,21 @@ def test_probe_of_an_unshifted_cone_family_fails_before_drawing(text, monkeypatc
     shifted = shift(OperatorSpec.parse(text), Polynomial.half_square_norm(2), normalize_origin=True)
     ellipticity_probe(shifted, 1.0, 2, samples=16, pairs=4)
     assert len(draws) >= 16
+
+
+def test_probe_builds_no_draw_matrices_for_families_that_accept_every_draw(monkeypatch):
+    # pucci+ accepts every draw unseen: only the accepted jets (one call) and
+    # the two ends of the pairs (two calls) build matrices
+    calls = []
+    real = operators._cube_matrices
+
+    def counted(U, n, radii):
+        calls.append(len(U))
+        return real(U, n, radii)
+
+    monkeypatch.setattr(operators, "_cube_matrices", counted)
+    ellipticity_probe(OperatorSpec.parse("pucci+:0.5:2"), 1.0, 2, samples=40, pairs=10, seed=3)
+    assert calls == [39, 10, 10]
 
 
 # -- the per-draw reference for the probe's block draws ----------------------
