@@ -4,13 +4,13 @@ The lower convex envelope of a grid function is computed by iterated lower
 hull sweeps along the axis and diagonal grid directions until a fixed point.
 A sweep hulls every masked run of every line of one direction at once. It
 first tests every node of the grid against the chord of its two neighbours
-along the direction, on shifted slices of the whole grid; only the lines
-where a node lies on or above its chord go through the array passes that
-drop such nodes, in blocks of 32 lines. The other lines are already convex
-and take their chord values on the slices. Each sweep is monotone (it never
-drops below the largest directionally convex minorant), so the iteration
-converges to that minorant: an outer approximation of the true convex
-envelope with O(h) bias.
+along the direction, on shifted slices of the whole grid. If a node lies on
+or above its chord, all lines of the direction go through the array passes
+that drop such nodes, in blocks of 32 lines; otherwise every line is already
+convex and takes its chord values on the slices. Each sweep is monotone (it
+never drops below the largest directionally convex minorant), so the
+iteration converges to that minorant: an outer approximation of the true
+convex envelope with O(h) bias.
 
 The ABP check measures sup u^- against the discrete L^n norm of f^+ over the
 contact set where u meets its convex envelope, on the ball inscribed in the
@@ -101,11 +101,11 @@ def _hull_lines(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _line_block(nr, nc, direction, lines):
-    """Flat node indices of the given grid lines of one direction (0 rows,
+def _line_block(nr, nc, direction, lo, hi):
+    """Flat node indices of the grid lines lo..hi-1 of one direction (0 rows,
     1 columns, 2 diagonals, 3 anti-diagonals), one line per row in increasing
     column (rows) or row (the others) order, -1 off the grid."""
-    line = np.asarray(lines)[:, None]
+    line = np.arange(lo, hi)[:, None]
     if direction == 0:
         return line * nc + np.arange(nc)
     r = np.arange(nr)
@@ -115,6 +115,23 @@ def _line_block(nr, nc, direction, lines):
     if direction == 3:
         c = (nc - 1) - c
     return np.where((c >= 0) & (c < nc), r * nc + c, -1)
+
+
+def _hull_direction(v, mask, direction):
+    """Hull every line of one direction of v in place, in blocks of _BLOCK
+    lines; returns the largest change of a masked node."""
+    nr, nc = v.shape
+    flat, fmask = v.reshape(-1), mask.reshape(-1)
+    lines = (nr, nc, nr + nc - 1, nr + nc - 1)[direction]
+    change = 0.0
+    for lo in range(0, lines, _BLOCK):
+        idx = _line_block(nr, nc, direction, lo, min(lo + _BLOCK, lines))
+        line_mask = (idx >= 0) & fmask[np.maximum(idx, 0)]
+        old = flat[np.maximum(idx, 0)]
+        new = _hull_lines(old, line_mask)
+        change = max(change, float(np.max(np.abs(new - old)[line_mask], initial=0.0)))
+        flat[idx[line_mask]] = new[line_mask]
+    return change
 
 
 def _axis_slice(step, k):
@@ -127,9 +144,8 @@ def _axis_slice(step, k):
     return slice(k, k - 2 or None)
 
 
-# per direction: the step (rows, columns) from node to node of a line, and
-# the weights (a, b) of its line index a*r + b*c + (a < 0)(nr - 1) + (b < 0)(nc - 1)
-_DIRECTIONS = (((0, 1), (1, 0)), ((1, 0), (0, 1)), ((1, 1), (-1, 1)), ((1, -1), (-1, -1)))
+# per direction: the step (rows, columns) from node to node of a line
+_STEPS = ((0, 1), (1, 0), (1, 1), (1, -1))
 
 
 def _sweep_direction(v, mask, direction):
@@ -138,48 +154,27 @@ def _sweep_direction(v, mask, direction):
 
     The first pass of _hull_lines runs on shifted slices of the whole grid:
     an inner node of a masked run drops when it lies on or above the chord of
-    its two neighbours. Only the lines where a node drops are hulled, in
-    blocks of _BLOCK lines. On the other lines every node of a run of three or
-    more is a hull vertex and takes _hull_lines' chord value by the same
+    its two neighbours. If any node drops, every line of the direction is
+    hulled (_hull_direction). Otherwise every node of a run of three or more
+    is a hull vertex and takes _hull_lines' chord value by the same
     expression, evaluated on the slices: v + (v_next - v) * 0 for the first
     and inner nodes (v itself, except that a -0.0 may become 0.0) and
     v_prev + (v - v_prev) for the last node (which may round). The values are
     those of hulling every line, and so is the change while no difference of
     neighbours overflows.
     """
-    nr, nc = v.shape
-    (sr, sc), (a, b) = _DIRECTIONS[direction]
+    sr, sc = _STEPS[direction]
     before, at, after = ((_axis_slice(sr, i), _axis_slice(sc, i)) for i in range(3))
     inner = mask[before] & mask[at] & mask[after]
     left, right = v[at] - v[before], v[after] - v[at]
-    drop = inner & (left >= right)
+    if (inner & (left >= right)).any():
+        return _hull_direction(v, mask, direction)
     center = np.zeros_like(mask)
     center[at] = inner
     first, last = inner & ~center[before], inner & ~center[after]
-    change = 0.0
-    if drop.any():
-        rows, cols = drop.shape
-        r = np.arange(rows)[:, None] + (sr != 0)
-        c = np.arange(cols) + (sc != 0)
-        line = a * r + b * c + (a < 0) * (nr - 1) + (b < 0) * (nc - 1)
-        hulled = np.zeros(nr + nc - 1, dtype=bool)
-        hulled[line[drop]] = True
-        keep = ~hulled[line]
-        inner &= keep
-        first &= keep
-        last &= keep
-        flat, fmask = v.reshape(-1), mask.reshape(-1)
-        lines = np.flatnonzero(hulled)
-        for lo in range(0, len(lines), _BLOCK):
-            idx = _line_block(nr, nc, direction, lines[lo : lo + _BLOCK])
-            line_mask = (idx >= 0) & fmask[np.maximum(idx, 0)]
-            old = flat[np.maximum(idx, 0)]
-            new = _hull_lines(old, line_mask)
-            change = max(change, float(np.max(np.abs(new - old)[line_mask], initial=0.0)))
-            flat[idx[line_mask]] = new[line_mask]
-    # chord values on the convex lines; _hull_lines' division by 1 is exact
+    # _hull_lines' division by 1 is exact
     last_new = v[at][last] + right[last]
-    change = max(change, float(np.max(np.abs(last_new - v[after][last]), initial=0.0)))
+    change = float(np.max(np.abs(last_new - v[after][last]), initial=0.0))
     right *= 0
     left *= 0
     np.copyto(v[at], np.add(v[at], right, out=right), where=inner)

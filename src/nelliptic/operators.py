@@ -230,8 +230,9 @@ DEFAULT_PROBE_RHO = {
     "quotient": 0.5,
     "slag": 1.0,
 }
-# the probe measures jet distances up to 2 rho by sums of squares, which
-# stay finite up to here
+# the probe's sums of squares of jet distances (up to 2 rho) overflow past
+# this radius; a family's own values may overflow at smaller radii, which the
+# probe reports as ProbeDomainError
 _RHO_MAX = 1e150
 
 
@@ -694,15 +695,22 @@ def ellipticity_probe(
 
     def batch(fn, M, p, s, per=1):
         """fn(op, M, p, s, x0) on the jets M[J, n, n], p[J, n], s[J], each
-        taking ``per`` consecutive evaluations."""
+        taking ``per`` consecutive evaluations; a jet whose result overflows
+        fails like one whose evaluation raises."""
         try:
-            return fn(op, M, p, s, x0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = fn(op, M, p, s, x0)
         except (SingularEvaluationError, ParameterError) as exc:
-            j = (getattr(exc, "index", None) or 0) // per
-            raise ProbeDomainError(
-                "operator evaluation failed inside the probe set: %s" % exc,
-                jet=(tuple(M[j][iu]), tuple(p[j]), float(s[j]), tuple(x0)),
-            )
+            j, why = (getattr(exc, "index", None) or 0) // per, exc
+        else:
+            bad = ~np.isfinite(out).reshape(len(M), -1).all(axis=1)
+            if not bad.any():
+                return out
+            j, why = int(np.argmax(bad)), "the value is not finite"
+        raise ProbeDomainError(
+            "operator evaluation failed inside the probe set: %s" % why,
+            jet=(tuple(M[j][iu]), tuple(p[j]), float(s[j]), tuple(x0)),
+        )
 
     # the zero jet is always drawn first, so no draw succeeds without it
     if not _admissible(op, np.zeros((n, n)), margin):
@@ -711,7 +719,11 @@ def ellipticity_probe(
             " shifted to an admissible jet (--shift-identity)" % op.family,
             jet=(tuple(np.zeros(m_tri)), tuple(x0), 0.0, tuple(x0)),
         )
-    (Mj, pj, sj), (M1, M2, segs, pp, ps) = _probe_draws(op, rho, n, samples, pairs, seed, margin)
+    # the cone filter's sigma_k may overflow to inf on large draws; their
+    # evaluations then fail in batch
+    with np.errstate(over="ignore", invalid="ignore"):
+        draws = _probe_draws(op, rho, n, samples, pairs, seed, margin)
+    (Mj, pj, sj), (M1, M2, segs, pp, ps) = draws
     J = len(Mj)
     if J < max(8, samples // 4):
         raise ProbeDomainError("could not draw enough admissible probe jets")

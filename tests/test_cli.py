@@ -384,6 +384,17 @@ def test_probe_radius_too_large_for_its_arithmetic_is_an_error_record():
     assert "--rho" in rec["message"]
 
 
+@pytest.mark.parametrize("op", ["ma", "quotient:3:1"])
+def test_probe_values_overflowing_inside_the_radius_are_an_error_record(op):
+    argv = ["probe", "--op", op, "--n", "3", "--shift-identity", "--rho", "1e110",
+            "--samples", "16", "--pairs", "4"]
+    code, out, err = run_cli(argv)
+    (line,) = out.decode().splitlines()
+    rec = json.loads(line)
+    assert (code, err) == (3, b"")
+    assert (rec["kind"], rec["error"]) == ("error", "ProbeDomainError")
+
+
 def refuse(self):
     raise AssertionError("%s built on an internal path" % type(self).__name__)
 

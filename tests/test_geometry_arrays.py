@@ -286,8 +286,8 @@ def bitwise(a):
 
 
 class TestSliceSweeps:
-    """Lines whose nodes all pass the slice test skip the hull passes, yet
-    every value and every sweep change equals the block loop's bit for
+    """Directions whose nodes all pass the slice test skip the hull passes,
+    yet every value and every sweep change equals the block loop's bit for
     bit."""
 
     @settings(max_examples=300, deadline=None)

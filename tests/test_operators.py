@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -296,6 +297,18 @@ class TestProbe:
         for rho in (0.0, -1.0, 2e150, 1e308, math.inf, math.nan):
             with pytest.raises(ParameterError, match="rho"):
                 ellipticity_probe(OperatorSpec.mean_curvature(), rho, 2)
+
+    @pytest.mark.parametrize("op", ["ma", "sigma:3", "quotient:3:1"])
+    def test_overflowing_values_are_a_domain_error(self, op):
+        # the product of three eigenvalues near 1e110 overflows well inside
+        # the radii the probe accepts: no warning, and the jet is named
+        op = shift(OperatorSpec.parse(op), Polynomial.half_square_norm(3), normalize_origin=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProbeDomainError, match="not finite") as info:
+                ellipticity_probe(op, 1e110, 3, samples=16, pairs=4)
+        M, p, s, x = info.value.jet
+        assert len(M) == 6 and max(map(abs, M)) > 1e100
 
     def test_determinism(self):
         a = ellipticity_probe(OperatorSpec.mean_curvature(), 1.0, 2, samples=40, pairs=10, seed=5)
