@@ -292,7 +292,6 @@ def _cmd_analyze(args):
         constraint=constraint,
         norm_bound=args.norm_bound,
         samples_m=args.samples_m,
-        threads=args.threads,
     )
     report = regularity.campanato_table(u, x0, cfg)
     conf = _config_of(
@@ -411,7 +410,7 @@ def build_parser():
     ap.add_argument(
         "--threads",
         type=int,
-        help="worker threads for per-scale fits (default $NELLIPTIC_THREADS or 1, reproducible)",
+        help="echoed in record configs; runs are single-threaded (default $NELLIPTIC_THREADS or 1)",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

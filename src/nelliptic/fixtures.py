@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import ParameterError, SingularityError
 from .operators import OperatorSpec
-from .polyfit import Polynomial
 
 
 @dataclass
@@ -70,7 +69,6 @@ class AnalyticFunction:
     claimed: list = field(default_factory=list)
     box: tuple = None  # (lo, hi) arrays
     singular_fn: callable = None  # (x, order) -> bool
-    taylor_fn: callable = None  # optional exact Taylor polynomials
 
     def __call__(self, x):
         """u at a point x[n] (a float) or a stack of points x[..., n]."""
@@ -111,11 +109,6 @@ class AnalyticFunction:
         if order <= 0 or self.singular_fn is None:
             return False
         return bool(self.singular_fn(np.atleast_1d(np.asarray(x, dtype=float)), order))
-
-    def taylor_poly(self, x0, k):
-        if self.taylor_fn is None:
-            return None
-        return self.taylor_fn(np.atleast_1d(np.asarray(x0, dtype=float)), k)
 
     def eps_f(self, samples: int = 4096, seed: int = 0) -> float:
         """Margin of the phase to the extreme values +-n*pi/2, sampled over
@@ -336,12 +329,6 @@ def _quadratic(A=None, b=None, c: float = 0.0, n: int = 2) -> AnalyticFunction:
         xA = np.matmul(x[..., None, :], A)[..., 0, :]
         return 0.5 * np.vecdot(xA, x) + np.vecdot(x, b) + c
 
-    def taylor(x0, k):
-        if k < 2:
-            return None  # generic path handles truncation
-        grad_hess = Polynomial.from_quadratic(A, A @ x0 + b, 0.0).coeffs
-        return Polynomial(n, k, {(0,) * n: float(ev(x0)), **grad_hess})
-
     op = None
     rhs = None
     ev_A = np.linalg.eigvalsh(A)
@@ -363,7 +350,6 @@ def _quadratic(A=None, b=None, c: float = 0.0, n: int = 2) -> AnalyticFunction:
         operator=op,
         claimed=claims,
         box=(np.full(n, -2.0), np.full(n, 2.0)),
-        taylor_fn=taylor,
     )
 
 

@@ -202,8 +202,14 @@ def _convexify(values: np.ndarray, mask=None, tol_scale=1.0):
 def directional_convexification(values, mask=None):
     """Largest minorant of the node values that is convex along rows, columns
     and both diagonals (the envelope core, no extension applied). Idempotent;
-    leaves directionally convex inputs unchanged."""
+    leaves directionally convex inputs unchanged. A mask, read as boolean,
+    restricts the minorant to its nodes and must have the values' shape."""
     values = np.asarray(values, dtype=float)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != values.shape:
+            raise InvalidInputError("mask shape %s differs from values shape %s"
+                                    % (mask.shape, values.shape))
     scale = float(np.max(np.abs(values))) if values.size else 1.0
     return _convexify(values, mask=mask, tol_scale=scale)
 
@@ -214,7 +220,6 @@ class EnvelopeResult:
 
     gamma: GridFunction
     contact_mask: np.ndarray
-    extension: dict
 
 
 def lower_convex_envelope(u: GridFunction) -> EnvelopeResult:
@@ -235,13 +240,7 @@ def lower_convex_envelope(u: GridFunction) -> EnvelopeResult:
     gamma_vals = _convexify(w, tol_scale=scale)
     gamma = GridFunction(u.dim, new_shape, new_origin, u.spacing, gamma_vals)
     contact = np.abs(gamma_vals - w) <= 1e-9 * (1.0 + scale)
-    extension = {
-        "pad_nodes": list(pad),
-        "original_origin": list(u.origin),
-        "original_shape": list(u.shape),
-        "fill_value": 0.0,
-    }
-    return EnvelopeResult(gamma, contact, extension)
+    return EnvelopeResult(gamma, contact)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +422,7 @@ def _whitened(points):
     if not np.all(np.isfinite(P0)):
         raise InvalidInputError("non-finite point for the enclosing ellipsoid")
     N, d = P0.shape
-    mean = P0.mean(axis=0)
+    mean = P0.mean(axis=0) if N else np.zeros(d)  # an empty mean would warn
     centered = P0 - mean
     if N < d + 1 or np.linalg.matrix_rank(centered, tol=1e-12) < d:
         raise RankError("degenerate (flat) vertex set for the enclosing ellipsoid")

@@ -135,7 +135,9 @@ def eigenvalues_sym(M, vectors=False):
     with reconstruction residual ||Q diag Q^T - M|| <= 1e-12 * max(1, |M|).
     """
     a = _dense(M)
-    return _eigh((a + np.swapaxes(a, -1, -2)) / 2.0, vectors)
+    with np.errstate(over="ignore"):  # an overflow is inf, which _eigh refuses
+        a = (a + np.swapaxes(a, -1, -2)) / 2.0
+    return _eigh(a, vectors)
 
 
 def _eigh(a, vectors=False):
@@ -390,7 +392,8 @@ def evaluate_many(op: OperatorSpec, M, p, s, x) -> np.ndarray:
     if M.shape[-2] != n or p.shape[-1] != n or x.shape[-1] != n:
         raise InvalidInputError("jet components must share dimension n")
     shape = np.broadcast_shapes(M.shape[:-2], p.shape[:-1], s.shape, x.shape[:-1])
-    M = (M + np.swapaxes(M, -1, -2)) / 2.0
+    with np.errstate(over="ignore"):  # an overflow is inf, refused below
+        M = (M + np.swapaxes(M, -1, -2)) / 2.0
     if not np.isfinite(M).all():
         raise InvalidInputError("non-finite entry in a jet Hessian")
     if op.shift_poly is not None:

@@ -504,17 +504,10 @@ def _solve_t_correction(g, t_bound):
 
 
 def taylor_of(fixture, x0, k: int) -> Polynomial:
-    """Taylor polynomial of a fixture at x0 from its analytic derivatives.
-
-    Exact for polynomial fixtures at any k; general fixtures supply value,
-    gradient and Hessian, covering k <= 2.
+    """Taylor polynomial of a fixture at x0 from its analytic value,
+    gradient and Hessian, so k <= 2.
     """
     x0 = np.asarray(x0, dtype=float)
-    exact = getattr(fixture, "taylor_poly", None)
-    if exact is not None:
-        out = exact(x0, k)
-        if out is not None:
-            return out
     if fixture.is_singular(x0, order=min(k, 2)):
         raise SingularityError(
             "fixture %r has no order-%d derivatives at %s" % (fixture.name, k, x0.tolist())

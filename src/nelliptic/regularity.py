@@ -48,7 +48,6 @@ class CampanatoConfig:
     constraint: tuple = None  # (OperatorSpec, f0)
     norm_bound: float = None
     samples_m: int = 8
-    threads: int = 1
 
     def __post_init__(self):
         if not (0.0 < self.eta <= 0.5):
@@ -183,19 +182,8 @@ def campanato_table(u, x0, cfg: CampanatoConfig) -> RegularityReport:
             )
 
     radii = [cfg.r0 * cfg.eta**m for m in range(cfg.levels + 1)]
-
-    def fit_scale(m):
-        r = radii[m]
-        pts, vals = _samples_on_ball(u, x0, r, cfg.samples_m)
-        return minimax_fit(pts, vals, x0, r, cfg.k, constraint=cfg.constraint)
-
-    if cfg.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # with logging, ~4 ms to import
-
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            fits = list(pool.map(fit_scale, range(cfg.levels + 1)))
-    else:
-        fits = [fit_scale(m) for m in range(cfg.levels + 1)]
+    fits = [minimax_fit(*_samples_on_ball(u, x0, r, cfg.samples_m), x0, r, cfg.k,
+                        constraint=cfg.constraint) for r in radii]
 
     if isinstance(u, GridFunction):
         floor = _grid_noise_floor(u, x0, cfg.r0)

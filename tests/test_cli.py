@@ -435,3 +435,13 @@ class TestDeterminism:
         rc2, out2, _ = run_cli(args)
         assert rc1 == rc2 == 0
         assert out1 == out2
+
+    def test_thread_count_leaves_analyze_unchanged(self, capsys):
+        # the regularity record's config is the fit's own, without threads
+        argv = ["analyze", "--fixture", "hq:0.435", "--point=0.1,-0.2,0", "--degree", "1"]
+        outs = []
+        for threads in ("1", "3"):
+            assert main(["--threads", threads] + argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert json.loads(outs[0])["kind"] == "regularity"
+        assert outs[0] == outs[1]

@@ -13,9 +13,10 @@ import contextlib
 import io
 import json
 import os
+import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nelliptic import cli
@@ -162,23 +163,29 @@ def workdir(tmp_path_factory):
 
 
 def run(argv, cwd):
-    """(exit code, stdout, stderr) of cli.main(argv) run in cwd."""
+    """(exit code, stdout, stderr) of cli.main(argv) run in cwd; warnings
+    count as stderr, where they print outside the test runner."""
     out, err = io.StringIO(), io.StringIO()
     old = os.getcwd()
     os.chdir(cwd)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             try:
                 rc = cli.main(argv)
             except SystemExit as exc:  # argparse usage errors
                 rc = exc.code
     finally:
         os.chdir(old)
-    return rc, out.getvalue(), err.getvalue()
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                    for w in caught)
+    return rc, out.getvalue(), err.getvalue() + shown
 
 
 @settings(max_examples=150, deadline=None)
 @given(argvs())
+@example(argv=["normalize", "--rays", "0", "--heights", "0.01", "--fixture", "quadratic"])
 def test_exit_code_contract(workdir, argv):
     rc, out, err = run(argv, workdir)
     assert rc in (0, 2, 3), (argv, rc)
@@ -191,6 +198,8 @@ def test_exit_code_contract(workdir, argv):
         assert not errors
     if rc == 2:
         assert out == ""
+    else:
+        assert err == "", (argv, err)
 
 
 @pytest.mark.parametrize("g", DEEP, ids=["parentheses", "signs", "terms"])

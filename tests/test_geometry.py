@@ -51,7 +51,7 @@ class TestEnvelope:
     def test_envelope_below_input_and_min(self):
         g = GridFunction.from_box([-1, -1], [1, 1], 1 / 16, fn=lambda x: x[0] ** 2 + x[1] - 0.7)
         env = lower_convex_envelope(g)
-        pad = env.extension["pad_nodes"]
+        pad = [(s - n) // 2 for s, n in zip(env.gamma.shape, g.shape)]
         w = np.zeros(env.gamma.shape)
         sl = tuple(slice(p, p + s) for p, s in zip(pad, g.shape))
         w[sl] = np.minimum(g.values, 0.0)
@@ -80,6 +80,18 @@ class TestEnvelope:
         xs = np.linspace(-1, 1, 33)
         conv = 0.5 * (xs[:, None] ** 2 + xs[None, :] ** 2) - 1.0
         assert np.array_equal(directional_convexification(conv), conv)
+
+    @pytest.mark.parametrize("shape", [(9,), (3, 4)])
+    def test_integer_mask_reads_as_boolean(self, shape):
+        rng = np.random.default_rng(4)
+        w, keep = rng.normal(size=shape), rng.random(shape) > 0.3
+        got = directional_convexification(w, keep.astype(int))
+        assert got.tobytes() == directional_convexification(w, keep).tobytes()
+
+    @pytest.mark.parametrize("shape,mask_shape", [((9,), (8,)), ((3, 4), (2, 4))])
+    def test_mask_of_another_shape_is_refused(self, shape, mask_shape):
+        with pytest.raises(InvalidInputError):
+            directional_convexification(np.zeros(shape), np.ones(mask_shape, bool))
 
 
 class TestABP:

@@ -456,11 +456,13 @@ def test_gated_flush_equals_the_per_matrix_flush(M, vectors):
 )
 @pytest.mark.parametrize("text", ["eigenvalues", "pucci+:0.5:2", "mc", "linear:1,0,1"])
 def test_nonfinite_hessians_are_rejected(M, text):
-    with pytest.raises(InvalidInputError):
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(InvalidInputError):
+        warnings.simplefilter("always")
         if text == "eigenvalues":
             eigenvalues_sym(np.array(M))
         else:
             evaluate_many(OperatorSpec.parse(text), M, np.zeros(2), 0.0, np.zeros(2))
+    assert not caught  # the refusal is the error, with no overflow warning first
 
 
 @settings(max_examples=200, deadline=None)

@@ -146,13 +146,6 @@ class TestCampanato:
         assert rep.classification == "below_resolution"
         assert rep.alpha_hat is None
 
-    def test_threads_deterministic(self):
-        fx = fixture("slag", 0.4)
-        rep1 = campanato_table(fx, [0, 0], CampanatoConfig(k=1, r0=0.5, levels=5, threads=1))
-        rep2 = campanato_table(fx, [0, 0], CampanatoConfig(k=1, r0=0.5, levels=5, threads=3))
-        assert [s.error for s in rep1.scales] == [s.error for s in rep2.scales]
-        assert rep1.alpha_hat == rep2.alpha_hat
-
     def test_grid_input_noise_floor(self):
         # sampled smooth function: deep scales drown in interpolation noise
         g = GridFunction.from_box([-1, -1], [1, 1], 1 / 64, fn=lambda x: math.sin(x[0] + x[1]))
