@@ -61,47 +61,66 @@ from .regularity import CampanatoConfig
 
 
 def _real_pow(a, b):
-    v = a**b  # complex for a negative base under a fractional power
-    return v if isinstance(v, float) else math.nan
+    # Python's a ** b of two floats, nan where complex, and whether it raises
+    try:
+        v = a**b
+    except (ZeroDivisionError, OverflowError):  # 0 to a negative power, overflow
+        return math.nan, True
+    return (v if isinstance(v, float) else math.nan), False
 
 
-_ARITH = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-          ast.Div: operator.truediv, ast.Pow: _real_pow}
+def _pow(a, b, raised):  # per element: numpy's array power can round differently
+    v, fail = np.frompyfunc(_real_pow, 2, 2)(a, b)
+    raised |= np.asarray(fail, dtype=bool)
+    return np.asarray(v, dtype=float)
+
+
+def _div(a, b, raised):
+    raised |= b == 0  # Python raises on a zero divisor, not on overflow
+    return a / b
+
+
+_ARITH = {ast.Add: lambda a, b, _: a + b, ast.Sub: lambda a, b, _: a - b,
+          ast.Mult: lambda a, b, _: a * b, ast.Div: _div, ast.Pow: _pow}
 _SIGNS = {ast.USub: operator.neg, ast.UAdd: operator.pos}
-_VARIABLES = {"x": lambda x: float(x[0]), "x1": lambda x: float(x[0]),
-              "x2": lambda x: float(x[1]), "r": lambda x: float(np.linalg.norm(x))}
+# r is sqrt(x.x) as np.linalg.norm takes it of one point, bit for bit
+_VARIABLES = {"x": lambda x, _: x[..., 0], "x1": lambda x, _: x[..., 0],
+              "x2": lambda x, _: x[..., 1], "r": lambda x, _: np.sqrt(np.vecdot(x, x))}
 _LITERAL_CHARS = frozenset("0123456789.eE+-")
 
 
 def _compile(node, src):
-    """The allow-listed tree ``node`` of ``src`` as a function of the point;
-    anything else in it is a ParameterError."""
+    """The allow-listed tree ``node`` of ``src`` as a function of a point stack
+    x[..., n] that sets the mask ``raised`` (of its batch shape) where Python's
+    float arithmetic would raise; anything else in it is a ParameterError."""
     if isinstance(node, ast.BinOp) and type(node.op) in _ARITH:
         op, a, b = _ARITH[type(node.op)], _compile(node.left, src), _compile(node.right, src)
-        return lambda x: op(a(x), b(x))
+        return lambda x, raised: op(a(x, raised), b(x, raised), raised)
     if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGNS:
         op, a = _SIGNS[type(node.op)], _compile(node.operand, src)
-        return lambda x: op(a(x))
+        return lambda x, raised: op(a(x, raised))
     # names are matched on their text, which Python would NFKC-normalize
     seg = ast.get_source_segment(src, node)
     if (isinstance(node, ast.Constant) and type(node.value) in (int, float)
             and set(seg) <= _LITERAL_CHARS):
-        v = float(seg)  # a decimal literal, read from its text
-        return lambda x: v
+        v = np.float64(float(seg))  # a decimal literal, read from its text
+        return lambda x, raised: v
     if isinstance(node, ast.Name) and seg in _VARIABLES:
         return _VARIABLES[seg]
     if (isinstance(node, ast.Call) and ast.get_source_segment(src, node.func) == "abs"
             and len(node.args) == 1 and not node.keywords
             and not seg[:-1].rstrip().endswith(",")):  # abs(a,) is no call of the language
         a = _compile(node.args[0], src)
-        return lambda x: abs(a(x))
+        return lambda x, raised: abs(a(x, raised))
     raise ParameterError("%r is not allowed in a boundary expression" % seg)
 
 
 def parse_expression(text):
-    """The expression as a function of the point x; a point where it has no
-    finite real value (division by zero, overflow, a negative base under a
-    fractional power) raises InvalidInputError.
+    """The expression as a function of a point x[n] (a float) or a stack of
+    points x[..., n] (values of its batch shape), each value that of Python's
+    float arithmetic, bit for bit. InvalidInputError names the first point in
+    row-major order with no finite real value (division by zero, overflow, a
+    negative base under a fractional power).
 
     The text is read by Python's own expression parser, with ``^`` for power,
     and only the grammar documented in the module docstring is allowed."""
@@ -117,17 +136,19 @@ def parse_expression(text):
 
     def value(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        raised = np.zeros(x.shape[:-1], dtype=bool)
         try:
-            v = fn(x)
-        except (ZeroDivisionError, OverflowError):
-            v = math.nan
+            with np.errstate(all="ignore"):
+                v = np.broadcast_to(fn(x, raised), raised.shape)
         except RecursionError:
             raise ParameterError("expression %r is nested too deeply" % text) from None
-        if not math.isfinite(v):
+        bad = np.flatnonzero(raised | ~np.isfinite(v))
+        if bad.size:
+            point = x.reshape(-1, x.shape[-1])[bad[0]]
             raise InvalidInputError(
-                "expression %r has no finite real value at x = %r" % (text, tuple(x.tolist()))
+                "expression %r has no finite real value at x = %r" % (text, tuple(point.tolist()))
             )
-        return v
+        return float(v) if x.ndim == 1 else v.copy()
 
     return value
 
@@ -179,7 +200,7 @@ def _load_field(spec, like: GridFunction, fixture=None):
     if spec == "rhs":
         if fixture is None or fixture.rhs_fn is None:
             raise ParameterError("'rhs' needs a fixture with a right-hand side")
-        vals = np.array([fixture.rhs(x) for x in like.points()]).reshape(like.shape)
+        vals = fixture.rhs(like.points())
         return GridFunction(like.dim, like.shape, like.origin, like.spacing, vals)
     try:
         const = float(spec)
@@ -294,12 +315,8 @@ def _cmd_analyze(args):
         samples_m=args.samples_m,
     )
     report = regularity.campanato_table(u, x0, cfg)
-    conf = _config_of(
-        args,
-        ["input", "fixture", "point", "degree", "eta", "r0", "levels",
-         "constrain", "norm_bound", "samples_m"],
-    )
-    _emit(report.to_dict(), "regularity", conf)
+    rec = report.to_dict()
+    _emit(rec, "regularity", rec["config"])  # the fit's own config
     if args.csv:
         osc = regularity.oscillation_profile(u, x0, [s.r for s in report.scales])
         try:
@@ -317,8 +334,7 @@ def _cmd_check(args):
     if args.fixture:
         fixture = fixtures_mod.parse_fixture(args.fixture)
         like = _grid_from_args(args, dim=fixture.dim)
-        vals = fixture(like.points()).reshape(like.shape)
-        u = GridFunction(like.dim, like.shape, like.origin, like.spacing, vals)
+        u = GridFunction(like.dim, like.shape, like.origin, like.spacing, fixture(like.points()))
     else:
         if not args.input:
             raise ParameterError("need --input FILE or --fixture name:theta")

@@ -91,19 +91,20 @@ class AnalyticFunction:
         return np.asarray(self.hess_fn(x), dtype=float)
 
     def rhs(self, x):
+        """f at a point x[n] (a float) or a stack x[..., n]. f = F(D^2 u, ...)
+        may extend onto the singular set of D^2 u (slag, hq), but not where its
+        closed form divides by 0: the first such point is a SingularityError."""
         if self.rhs_fn is None:
             raise ParameterError("%s: no right-hand side declared" % self.name)
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        try:
-            return float(self.rhs_fn(x))
-        except ZeroDivisionError:
-            # f = F(D^2 u, ...) may extend continuously onto the singular set
-            # of D^2 u (slag, hq), but not where its closed form divides by 0
-            if not self.is_singular(x, order=2):
-                raise
-            raise SingularityError(
-                "%s: right-hand side singular at %s" % (self.name, x.tolist())
-            ) from None
+        pts = x.reshape(-1, x.shape[-1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = self.rhs_fn(pts)
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise SingularityError("%s: right-hand side singular at %s"
+                                   % (self.name, pts[bad[0]].tolist()))
+        return float(vals[0]) if x.ndim == 1 else vals.reshape(x.shape[:-1])
 
     def is_singular(self, x, order=2) -> bool:
         if order <= 0 or self.singular_fn is None:
@@ -119,31 +120,33 @@ class AnalyticFunction:
         """
         if self.rhs_fn is None:
             raise ParameterError("%s: no right-hand side declared" % self.name)
-        rng = np.random.default_rng(seed)
-        lo, hi = self.box
-        pts = list(rng.uniform(lo, hi, size=(samples, self.dim)))
-        for d in range(self.dim):
-            for t in np.linspace(lo[(d + 1) % self.dim], hi[(d + 1) % self.dim], 33):
-                x = np.zeros(self.dim)
-                x[(d + 1) % self.dim] = t
-                pts.append(x)
-        n = self.dim
-        vals = np.array([self.rhs(p) for p in pts])
+        rng, (lo, hi), n = np.random.default_rng(seed), self.box, self.dim
+        pts = [rng.uniform(lo, hi, size=(samples, n))]
+        for e in [(d + 1) % n for d in range(n)]:
+            pts.append(np.zeros((33, n)))
+            pts[-1][:, e] = np.linspace(lo[e], hi[e], 33)
+        vals = self.rhs(np.concatenate(pts))
         return float(np.min(np.minimum(n * math.pi / 2 - vals, vals + n * math.pi / 2)))
 
 
 # ---------------------------------------------------------------------------
 # individual fixtures: each eval_fn takes a point x[n] or a stack x[N, n]
-# (x.T[i] is coordinate i of either, a scalar for a point) and gives a stack
-# its points' values bit for bit. So powers use the C library's pow, as numpy
-# powers a scalar (its array power can round differently), and |x| is
-# sqrt(vecdot(x, x)), the dot product np.linalg.norm takes of a point.
+# (x.T[i] is coordinate i of either, a scalar for a point), each rhs_fn a
+# stack, and a stack gets its points' values bit for bit. So powers and
+# arctangents are the C library's, per element (numpy's array power and
+# arctan can round differently), and |x| is sqrt(vecdot(x, x)), the dot
+# product np.linalg.norm takes of a point.
+
+
+def _libm(fn, *args):
+    return np.asarray(np.frompyfunc(fn, len(args), 1)(*args), dtype=float)
 
 
 def _pow(a, p):
     if isinstance(a, float):  # a point's coordinate: np.float64 is a float
         return math.pow(a, p)
-    return np.asarray(np.frompyfunc(math.pow, 2, 1)(a, p), dtype=float)
+    pole = (a == 0.0) & (p < 0)  # C's pow is inf here, where math.pow raises
+    return np.where(pole, math.inf, _libm(math.pow, np.where(pole, 1.0, a), p))
 
 
 def _pmc(theta: float, n: int = 2) -> AnalyticFunction:
@@ -153,15 +156,10 @@ def _pmc(theta: float, n: int = 2) -> AnalyticFunction:
             "defined in this range)"
         )
 
-    def vprime(r):
-        if r <= 1.0:
-            return theta * (1.0 - r) ** (theta - 1.0)
-        return theta * (r - 1.0) ** (theta - 1.0)
-
-    def vsecond(r):
-        if r <= 1.0:
-            return theta * (1.0 - theta) * (1.0 - r) ** (theta - 2.0)
-        return -theta * (1.0 - theta) * (r - 1.0) ** (theta - 2.0)
+    def derivs(r):
+        # v'(r) and v''(r) of the profile u = v(|x|), infinite at r = 1
+        d, c2 = abs(1.0 - r), theta * (1.0 - theta)
+        return theta * _pow(d, theta - 1.0), np.where(r <= 1.0, c2, -c2) * _pow(d, theta - 2.0)
 
     def ev(x):
         r = np.sqrt(np.vecdot(x, x))
@@ -170,19 +168,20 @@ def _pmc(theta: float, n: int = 2) -> AnalyticFunction:
 
     def gr(x):
         r = np.linalg.norm(x)
-        return vprime(r) * x / r
+        return derivs(r)[0] * x / r
 
     def he(x):
         r = np.linalg.norm(x)
         xh = x / r
         proj = np.outer(xh, xh)
-        return vsecond(r) * proj + vprime(r) / r * (np.eye(n) - proj)
+        vp, vs = derivs(r)
+        return vs * proj + vp / r * (np.eye(n) - proj)
 
-    def rhs(x):
-        r = float(np.linalg.norm(x))
-        vp = vprime(r)
-        w = math.sqrt(1.0 + vp * vp)
-        return vsecond(r) / w**3 + (n - 1) * vp / (r * w)
+    def rhs(x):  # no finite value at r = 1 and r = 0, where it divides by 0
+        r = np.sqrt(np.vecdot(x, x))
+        vp, vs = derivs(r)
+        w = np.sqrt(1.0 + vp * vp)
+        return vs / _pow(w, 3) + (n - 1) * vp / (r * w)
 
     def singular(x, order):
         r = float(np.linalg.norm(x))
@@ -240,11 +239,9 @@ def _hq(theta: float, k: int = 2, l: int = 1, n: int = 3) -> AnalyticFunction:
         return H
 
     def rhs(x):
-        t = abs(x[-1])
-        if t < 1e-300:
-            return c_k1 / c_l1
-        tt = theta * t ** (theta - 1.0)
-        return (c_k0 + c_k1 * tt) / (c_l0 + c_l1 * tt)
+        t = abs(x.T[-1])
+        tt = theta * _pow(np.maximum(t, 1e-300), theta - 1.0)
+        return np.where(t < 1e-300, c_k1 / c_l1, (c_k0 + c_k1 * tt) / (c_l0 + c_l1 * tt))
 
     def singular(x, order):
         return order >= 2 and abs(x[-1]) < 1e-12
@@ -289,7 +286,7 @@ def _slag(theta: float) -> AnalyticFunction:
         return np.diag([theta * abs(x[0]) ** (theta - 1.0), 1.0])
 
     def rhs(x):
-        return 0.75 * math.pi - math.atan(abs(x[0]) ** (1.0 - theta) / theta)
+        return 0.75 * math.pi - _libm(math.atan, _pow(abs(x.T[0]), 1.0 - theta) / theta)
 
     def singular(x, order):
         return order >= 2 and abs(x[0]) < 1e-12
@@ -335,7 +332,7 @@ def _quadratic(A=None, b=None, c: float = 0.0, n: int = 2) -> AnalyticFunction:
     if ev_A[0] > 0:
         op = OperatorSpec.monge_ampere()
         detA = float(np.linalg.det(A))
-        rhs = lambda x: detA
+        rhs = lambda x: np.full(len(x), detA)
     claims = [
         Claim("quadratic", (0.0,) * n, "any point", 2, None, "polynomial_exact", "calibration")
     ]
@@ -418,7 +415,7 @@ def _harmonic(k: int, n: int = 2) -> AnalyticFunction:
         eval_fn=ev,
         grad_fn=gr,
         hess_fn=he,
-        rhs_fn=lambda x: 0.0,
+        rhs_fn=lambda x: np.zeros(len(x)),
         operator=OperatorSpec.linear(np.eye(2)),
         claimed=claims,
         box=(np.full(2, -2.0), np.full(2, 2.0)),

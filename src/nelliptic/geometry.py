@@ -20,8 +20,9 @@ shrink the contact set below its continuum value).
 
 Sections S_h(x0) = {u - supporting affine function < h} of a convex function
 are traced by expansion and bisection along rays, all rays in lockstep with
-one evaluation of u per step on the stack of ray points (grid functions and
-fixtures take stacks; a bare callable is called point by point). The
+one evaluation of u per step on the stack of ray points. Here, as everywhere
+in the package, a function of a point is called on a stack x[..., n] and
+gives the values of its batch shape (a float at a single point x[n]). The
 minimum-volume enclosing ellipsoid of the section boundary (Newton steps on
 the dual D-optimal design over an active set of touching points) yields the
 affine normalization T with B_{1/n} subset T(S_h) subset B_1 and the
@@ -307,24 +308,11 @@ def abp_check(u: GridFunction, f: GridFunction, lam, Lam, b0, boundary_tol=None)
 
 
 def _domain_box(u, domain):
-    if domain is not None:
-        return np.asarray(domain[0], dtype=float), np.asarray(domain[1], dtype=float)
-    if isinstance(u, GridFunction):
-        return u.box()
-    box = getattr(u, "box", None)
-    if box is not None:
-        return np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
-    raise InvalidInputError("section needs a domain box for a bare callable")
-
-
-def _stack_evaluator(u):
-    """u on a stack of points x[..., n]: grid functions and fixtures take
-    stacks; any other callable is called point by point."""
-    from .fixtures import AnalyticFunction  # only this type test needs fixtures
-
-    if isinstance(u, (GridFunction, AnalyticFunction)):
-        return u
-    return lambda X: np.array([float(u(x)) for x in X])
+    if domain is None:
+        domain = u.box() if isinstance(u, GridFunction) else getattr(u, "box", None)
+    if domain is None:
+        raise InvalidInputError("section needs a domain box for a function without one")
+    return np.asarray(domain[0], dtype=float), np.asarray(domain[1], dtype=float)
 
 
 def section(u, x0, h, rays: int = 256, domain=None) -> np.ndarray:
@@ -347,12 +335,11 @@ def section(u, x0, h, rays: int = 256, domain=None) -> np.ndarray:
     lo, hi = _domain_box(u, domain)
     diam = float(np.linalg.norm(hi - lo))
     u0 = float(u(x0))
-    evaluate = _stack_evaluator(u)
     if getattr(u, "grad", None) is not None:
         g = np.asarray(u.grad(x0), dtype=float)
     else:
         dx = u.spacing / 2.0 if isinstance(u, GridFunction) else 1e-6
-        g = (evaluate(x0 + dx * np.eye(n)) - evaluate(x0 - dx * np.eye(n))) / (2 * dx)
+        g = (u(x0 + dx * np.eye(n)) - u(x0 - dx * np.eye(n))) / (2 * dx)
 
     if n == 1:
         dirs = np.array([[1.0], [-1.0]])
@@ -381,7 +368,7 @@ def section(u, x0, h, rays: int = 256, domain=None) -> np.ndarray:
             break
         mid = 0.5 * (t_lo + t_hi)
         X = x0 + np.where(expanding, np.minimum(t, tm), mid)[active, None] * dirs[active]
-        val[active] = evaluate(X) - u0 - np.vecdot(X - x0, g)
+        val[active] = u(X) - u0 - np.vecdot(X - x0, g)
         # expansion: the box edge, then a dent, then the level h ends it
         edge = expanding & (t >= tm)
         failed[edge & (val < h)] = 1

@@ -48,7 +48,8 @@ class GridFunction:
     @staticmethod
     def from_box(lo, hi, h, fn=None, dim=None):
         """Grid covering the box [lo, hi]^dim with spacing h; hi is adjusted
-        to the nearest node at or beyond the requested endpoint."""
+        to the nearest node at or beyond the requested endpoint. fn, a function
+        of a point stack, is called once on ``points()`` for the node values."""
         if dim is None:
             dim = len(lo) if hasattr(lo, "__len__") else 1
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
@@ -61,7 +62,7 @@ class GridFunction:
         shape = tuple(int(round((b - a) / h)) + 1 for a, b in zip(lo, hi))
         g = GridFunction(dim, shape, tuple(lo), float(h), np.zeros(shape))
         if fn is not None:
-            g.values = np.array([fn(x) for x in g.points()]).reshape(shape)
+            g.values = np.array(fn(g.points()), dtype=float).reshape(shape)
         return g
 
     def axes(self):

@@ -220,11 +220,8 @@ def poly_norm(P: Polynomial, r: float) -> float:
 
 def ball_samples(fn, x0, radius, m: int = 8):
     """Tensor grid of (2m+1)^n points on the cube around x0 intersected with
-    the closed ball of the given radius; returns (points, values). Grid
-    functions and fixtures are evaluated on the stack of points at once; any
-    other callable is called point by point."""
-    from .geometry import _stack_evaluator  # local: importing polyfit loads no geometry
-
+    the closed ball of the given radius; returns (points, values). fn is a
+    function of a point stack, called once on the points."""
     x0 = np.asarray(x0, dtype=float)
     n = len(x0)
     axis = np.linspace(-radius, radius, 2 * m + 1)
@@ -232,7 +229,7 @@ def ball_samples(fn, x0, radius, m: int = 8):
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     keep = np.linalg.norm(pts, axis=1) <= radius + 1e-12
     pts = pts[keep] + x0
-    return pts, _stack_evaluator(fn)(pts)
+    return pts, fn(pts)
 
 
 # ---------------------------------------------------------------------------

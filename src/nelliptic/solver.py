@@ -98,7 +98,9 @@ def __getattr__(name):
 
 
 def boundary_values(g, grid: GridFunction) -> np.ndarray:
-    """Full-shape array holding Dirichlet data on the boundary nodes."""
+    """Full-shape array holding Dirichlet data on the boundary nodes: g is a
+    constant, a grid function or array of the grid's shape, or a function of
+    a point stack, called once on the boundary nodes in row-major order."""
     out = np.zeros(grid.shape)
     if np.isscalar(g):
         out[:] = float(g)
@@ -113,7 +115,7 @@ def boundary_values(g, grid: GridFunction) -> np.ndarray:
         return g.copy()
     pts = grid.points().reshape(grid.shape + (grid.dim,))
     bmask = grid.boundary_mask()
-    out[bmask] = [float(g(p)) for p in pts[bmask]]
+    out[bmask] = g(pts[bmask])
     return out
 
 

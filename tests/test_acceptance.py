@@ -108,7 +108,7 @@ def test_criterion_04_synthetic_calibration():
             nrm = sum(abs(a) for a in coeffs.values())
             Q = Polynomial(2, k, {s: a / max(nrm, 1.0) for s, a in coeffs.items()})
             beta = k + alpha
-            u = lambda x: float(np.linalg.norm(x)) ** beta + Q(x)
+            u = lambda x: np.linalg.norm(x, axis=-1) ** beta + Q(x)
             rep = campanato_table(u, [0, 0], CampanatoConfig(k=k, r0=0.5, levels=6))
             worst = max(worst, abs(rep.alpha_hat - alpha))
     report(4, worst <= 0.02, "worst |alpha_hat - alpha| = %.4f over 9 cases" % worst)
@@ -214,7 +214,7 @@ def test_criterion_08_envelope():
     fixed = np.array_equal(directional_convexification(conv), conv)
 
     h = 1 / 512
-    g = GridFunction.from_box([-1.0], [1.0], h, fn=lambda x: x[0] ** 2 - 1)
+    g = GridFunction.from_box([-1.0], [1.0], h, fn=lambda x: x[..., 0] ** 2 - 1)
     env = lower_convex_envelope(g)
     pts = env.gamma.points()[:, 0]
     inner = pts[env.contact_mask & (np.abs(pts) < 1.5)]
@@ -230,13 +230,13 @@ def test_criterion_08_envelope():
 
 
 def test_criterion_09_abp_maximum_principle():
-    g = lambda x: 0.2 + 0.1 * x[0]
+    g = lambda x: 0.2 + 0.1 * x[..., 0]
     f0 = GridFunction.from_box([-1, -1], [1, 1], 1 / 32)
     u, _ = solve_pucci(0.5, 2.0, "minus", f0, g)
     sup_minus = float(max(0.0, -u.values.min()))
 
     n, h = 2, 1 / 128
-    up = GridFunction.from_box([-1, -1], [1, 1], h, fn=lambda x: (x @ x - 1) / (2 * n))
+    up = GridFunction.from_box([-1, -1], [1, 1], h, fn=lambda x: (np.vecdot(x, x) - 1) / (2 * n))
     fones = GridFunction(2, up.shape, up.origin, up.spacing, np.ones(up.shape))
     rep = abp_check(up, fones, 1.0, 1.0, 0.0)
     expected = (1 / (2 * n)) / math.sqrt(math.pi)
@@ -254,14 +254,14 @@ def test_criterion_10_ma_exactness_and_sections():
     h = 1 / 32
     worst = 0.0
     for fval, gfun in (
-        (1.0, lambda x: 0.5 * (x @ x)),
-        (4.0, lambda x: x @ x),
-        (4.0, lambda x: 0.5 * (x[0] ** 2 + 4 * x[1] ** 2)),
+        (1.0, lambda x: 0.5 * np.vecdot(x, x)),
+        (4.0, lambda x: np.vecdot(x, x)),
+        (4.0, lambda x: 0.5 * (x[..., 0] ** 2 + 4 * x[..., 1] ** 2)),
     ):
         f = GridFunction.from_box([-1, -1], [1, 1], h)
         f.values[:] = fval
         u, _ = solve_monge_ampere(f, gfun, SolveConfig(tol=1e-11))
-        exact = np.array([gfun(p) for p in u.points()]).reshape(u.shape)
+        exact = gfun(u.points()).reshape(u.shape)
         worst = max(worst, float(np.max(np.abs(u.values - exact))))
 
     heights = np.logspace(-3, -1, 5)
@@ -270,7 +270,7 @@ def test_criterion_10_ma_exactness_and_sections():
         q = fixture("quadratic", A=A)
         prods = [john_normalize(section(q, [0, 0], s), s, 2).product for s in heights]
         band_quad.append(max(prods) / min(prods))
-    conv = lambda x: 0.5 * x[0] ** 2 + 0.25 * x[1] ** 4 + 0.5 * x[1] ** 2
+    conv = lambda x: 0.5 * x[..., 0] ** 2 + 0.25 * x[..., 1] ** 4 + 0.5 * x[..., 1] ** 2
     prods = [
         john_normalize(section(conv, [0, 0], s, domain=([-2, -2], [2, 2])), s, 2).product
         for s in heights
@@ -286,7 +286,7 @@ def test_criterion_10_ma_exactness_and_sections():
 
 
 def test_criterion_11_viscosity_checker():
-    u = GridFunction.from_box([-1, -1], [1, 1], 0.2, fn=lambda x: x @ x)
+    u = GridFunction.from_box([-1, -1], [1, 1], 0.2, fn=lambda x: np.vecdot(x, x))
     f4 = GridFunction(2, u.shape, u.origin, u.spacing, np.full(u.shape, 4.0))
     rep_cls = check_viscosity(u, OperatorSpec.linear(np.eye(2)), f4, side="both", tol=1e-6)
     classical_ok = (
@@ -295,7 +295,7 @@ def test_criterion_11_viscosity_checker():
         and rep_cls.counts("sub")["pass"] > 0
     )
 
-    u1 = GridFunction.from_box([-1.0], [1.0], 1 / 8, fn=lambda x: abs(x[0]))
+    u1 = GridFunction.from_box([-1.0], [1.0], 1 / 8, fn=lambda x: abs(x[..., 0]))
     fm1 = GridFunction(1, u1.shape, u1.origin, u1.spacing, np.full(u1.shape, -1.0))
     rep_abs = check_viscosity(u1, OperatorSpec.linear(np.eye(1)), fm1, side="super", tol=1e-6)
     mid = u1.shape[0] // 2
@@ -304,11 +304,11 @@ def test_criterion_11_viscosity_checker():
 
     fix = fixture("pmc", 0.3)
     gg = GridFunction.from_box([0.553, -0.447], [1.453, 0.453], 0.06)
-    vals = np.array([fix(p) for p in gg.points()]).reshape(gg.shape)
+    vals = fix(gg.points()).reshape(gg.shape)
     upmc = GridFunction(2, gg.shape, gg.origin, gg.spacing, vals)
     fpmc = GridFunction(
         2, gg.shape, gg.origin, gg.spacing,
-        np.array([fix.rhs(p) for p in gg.points()]).reshape(gg.shape),
+        fix.rhs(gg.points()).reshape(gg.shape),
     )
     rep_pmc = check_viscosity(upmc, fix.operator, fpmc, side="both", tol=5e-2, rho=5.0)
     pmc_ok = (
@@ -329,7 +329,7 @@ def test_criterion_12_oscillation_decay():
     h = 1 / 64
     f = GridFunction.from_box([-1, -1], [1, 1], h)
     f.values[:] = 0.01
-    u, _ = solve_pucci(0.5, 2.0, "minus", f, lambda x: 0.1 * (x[0] ** 2 - x[1] ** 2))
+    u, _ = solve_pucci(0.5, 2.0, "minus", f, lambda x: 0.1 * (x[..., 0] ** 2 - x[..., 1] ** 2))
     radii = [0.5 * 0.5**m for m in range(5)]
     prof = oscillation_profile(u, [0.0, 0.0], radii)
     logs = np.log([r for r, _ in prof]), np.log([o for _, o in prof])

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nelliptic import cli, solver
 from nelliptic.cli import main, parse_expression
 from nelliptic.errors import InvalidInputError, ParameterError
+from nelliptic.fixtures import AnalyticFunction
 from nelliptic.grid import GridFunction, read_grid, write_grid
 from nelliptic.operators import Jet, SymMatrix
 from nelliptic.solver import solve_linear
@@ -113,16 +115,27 @@ class TestExpressionLanguage:
                                   min_size=len(tokens), max_size=len(tokens)))
         text = "".join(gap + tok for gap, tok in zip(gaps, tokens))
         f = parse_expression(text)
+        wants = []
         for x in points:
             try:
                 want = tree_value(tree, x)
             except (ZeroDivisionError, OverflowError):
                 want = math.nan
+            wants.append(want)
             if math.isfinite(want):
                 assert f(x).hex() == want.hex(), (text, x)
             else:
                 with pytest.raises(InvalidInputError):
                     f(x)
+        # the points as one stack: the same values, or the first failing point
+        stack = np.array(points, dtype=float)
+        failing = [x for x, want in zip(points, wants) if not math.isfinite(want)]
+        if failing:
+            with pytest.raises(InvalidInputError) as exc:
+                f(stack)
+            assert str(exc.value).endswith("at x = %r" % (tuple(failing[0]),)), text
+        else:
+            assert [v.hex() for v in f(stack).tolist()] == [w.hex() for w in wants], text
 
     @pytest.mark.parametrize(
         "text",
@@ -135,6 +148,22 @@ class TestExpressionLanguage:
     def test_the_rest_of_python_is_rejected(self, text):
         with pytest.raises(ParameterError):
             parse_expression(text)
+
+    @pytest.mark.parametrize(
+        "text", ["(1/0)^0", "0^-1", "(0^-1)^0", "1^(1/0)", "(1e308/1e-10)*0"])
+    def test_a_raising_operation_fails_the_point(self, text):
+        # where Python raises (/ by zero, 0^negative, an overflowing ^) the
+        # point fails, though ^0 or 1^ would make a nan finite; / overflows
+        # to inf without raising, and inf*0 is nan
+        with pytest.raises(InvalidInputError):
+            parse_expression(text)([0.5, 0.5])
+        with pytest.raises(InvalidInputError, match=r"at x = \(0\.5, 0\.5\)"):
+            parse_expression(text)(np.full((3, 2), 0.5))
+
+    def test_a_nan_that_raised_nothing_may_become_finite(self):
+        f = parse_expression("(1e308*10 - 1e308*10)^0")
+        assert f([0.5, 0.5]) == 1.0
+        assert f(np.zeros((2, 3, 2))).tolist() == [[1.0] * 3] * 2
 
     def test_leading_zeros_and_newlines(self):
         assert parse_expression("x1+007")([1.0, 0.0]) == 8.0
@@ -329,13 +358,23 @@ class TestExitCodes:
         assert rec["kind"] == "error" and rec["error"] == "InvalidInputError"
         assert str(path) in rec["message"] and err == ""
 
+    def test_boundary_error_names_the_first_failing_node(self, tmp_path, capsys):
+        # boundary nodes in row-major order: (0, -1) is the first with x1 = 0
+        rc = main(["solve", "--eq", "linear", "--box=-1,1", "--h", "0.5", "--g", "1/x1",
+                   "--out", str(tmp_path / "u.grid")])
+        assert rc == 3
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["message"] == "expression '1/x1' has no finite real value at x = (0.0, -1.0)"
+
     def test_rhs_on_the_singular_sphere(self, capsys):
-        # the README's check: nodes (0.6, 0.8) and (0.8, 0.6) lie on |x| = 1
+        # the README's check: nodes (0.6, 0.8) and (0.8, 0.6) lie on |x| = 1,
+        # and the error names the first of them in row-major order
         rc = main(["check", "--fixture", "pmc:0.3", "--box=0.55,1.45", "--h", "0.05",
                    "--f", "rhs", "--side", "both", "--tol", "5e-2", "--rho", "5"])
         assert rc == 3
         rec = json.loads(capsys.readouterr().out)
         assert rec["kind"] == "error" and rec["error"] == "SingularityError"
+        assert rec["message"] == "pmc: right-hand side singular at [0.6000000000000001, 0.8]"
         assert main(["fixtures", "eval", "--fixture", "pmc:0.3", "--point", "1,0"]) == 0
         rec = json.loads(capsys.readouterr().out)
         assert "rhs" not in rec and "hess" not in rec and "value" in rec
@@ -423,6 +462,42 @@ def test_no_internal_symmatrix_or_jet(argv, kind, tmp_path, monkeypatch, capsys)
     assert main(argv) == 0
     (line,) = capsys.readouterr().out.splitlines()
     assert json.loads(line)["kind"] == kind
+
+
+def counting(calls, fn):
+    """fn, recording the shape of each argument it is called on."""
+    return lambda *args: calls.append(np.shape(args[-1])) or fn(*args)
+
+
+@pytest.mark.parametrize("eq", ["linear", "pucci", "ma", "mc"])
+def test_boundary_expression_called_once_per_fill(eq, tmp_path, monkeypatch, capsys):
+    """A function of a point is called on point stacks: solve evaluates its
+    compiled --g once per boundary fill from it, on all 32 boundary nodes of
+    9 x 9 (later fills copy the array of the first)."""
+    calls, fills = [], []
+    fill = solver.boundary_values
+    monkeypatch.setattr(cli, "parse_expression",
+                        lambda text: counting(calls, parse_expression(text)))
+    monkeypatch.setattr(solver, "boundary_values",
+                        lambda g, grid: fills.append(callable(g)) or fill(g, grid))
+    argv = ["solve", "--eq", eq, "--box=-1,1", "--h", "0.25", "--f", "1" if eq == "ma" else "0",
+            "--g", "0.02*(x1^2+x2^2)+0.01*x1", "--out", str(tmp_path / "u.grid")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert sum(fills) == 1 and calls == [(32, 2)]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["check", "--fixture", "slag:0.4", "--box=-0.5,0.5", "--h", "0.25", "--f", "rhs"], 0),
+    (["check", "--fixture", "pmc:0.3", "--box=0.55,1.45", "--h", "0.05", "--f", "rhs",
+      "--rho", "5"], 3),
+])
+def test_fixture_rhs_called_once(argv, code, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(AnalyticFunction, "rhs", counting(calls, AnalyticFunction.rhs))
+    assert main(argv) == code
+    capsys.readouterr()
+    assert len(calls) == 1 and len(calls[0]) == 2
 
 
 class TestDeterminism:

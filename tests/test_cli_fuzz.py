@@ -15,6 +15,7 @@ import json
 import os
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -148,11 +149,11 @@ def argvs(draw):
 def workdir(tmp_path_factory):
     """A directory holding good, malformed and unreadable input files."""
     root = tmp_path_factory.mktemp("fuzz")
-    q = GridFunction.from_box([-1, -1], [1, 1], 0.25, fn=lambda x: 0.5 * float(x @ x) - 0.2)
+    q = GridFunction.from_box([-1, -1], [1, 1], 0.25, fn=lambda x: 0.5 * np.vecdot(x, x) - 0.2)
     write_grid(q, str(root / "u.grid"))
-    write_grid(GridFunction.from_box([-1, -1], [1, 1], 1.0, fn=lambda x: 1.0 + x[0]),
+    write_grid(GridFunction.from_box([-1, -1], [1, 1], 1.0, fn=lambda x: 1.0 + x[..., 0]),
                str(root / "coarse.grid"))
-    write_grid(GridFunction.from_box([-1], [1], 0.25, fn=lambda x: float(x @ x)),
+    write_grid(GridFunction.from_box([-1], [1], 0.25, fn=lambda x: np.vecdot(x, x)),
                str(root / "u1.grid"))
     (root / "bad.grid").write_text("nelliptic-grid v1\ndim 2\nshape 2 2\norigin 0 0\nspacing x\n")
     (root / "short.grid").write_text(

@@ -31,14 +31,14 @@ from nelliptic.grid import GridFunction, write_grid
 
 class TestEnvelope:
     def test_nonnegative_input_zero_envelope(self):
-        g = GridFunction.from_box([-1, -1], [1, 1], 0.1, fn=lambda x: 1.0 + x[0] ** 2)
+        g = GridFunction.from_box([-1, -1], [1, 1], 0.1, fn=lambda x: 1.0 + x[..., 0] ** 2)
         env = lower_convex_envelope(g)
         assert np.all(env.gamma.values == 0.0)
         assert np.all(env.contact_mask)
 
     def test_1d_parabola_contact_points(self):
         h = 1 / 256
-        g = GridFunction.from_box([-1.0], [1.0], h, fn=lambda x: x[0] ** 2 - 1)
+        g = GridFunction.from_box([-1.0], [1.0], h, fn=lambda x: x[..., 0] ** 2 - 1)
         env = lower_convex_envelope(g)
         xs = env.gamma.points()[:, 0]
         inner = xs[env.contact_mask & (np.abs(xs) < 1.5)]
@@ -49,7 +49,7 @@ class TestEnvelope:
         assert target**2 - 4 * target + 1 == pytest.approx(0.0, abs=1e-12)
 
     def test_envelope_below_input_and_min(self):
-        g = GridFunction.from_box([-1, -1], [1, 1], 1 / 16, fn=lambda x: x[0] ** 2 + x[1] - 0.7)
+        g = GridFunction.from_box([-1, -1], [1, 1], 1 / 16, fn=lambda x: x[..., 0] ** 2 + x[..., 1] - 0.7)
         env = lower_convex_envelope(g)
         pad = [(s - n) // 2 for s, n in zip(env.gamma.shape, g.shape)]
         w = np.zeros(env.gamma.shape)
@@ -96,14 +96,14 @@ class TestEnvelope:
 
 class TestABP:
     def test_nonnegative_u(self):
-        g = GridFunction.from_box([-1, -1], [1, 1], 1 / 16, fn=lambda x: 0.5 + x[0] ** 2)
+        g = GridFunction.from_box([-1, -1], [1, 1], 1 / 16, fn=lambda x: 0.5 + x[..., 0] ** 2)
         f = GridFunction(2, g.shape, g.origin, g.spacing, np.ones(g.shape))
         rep = abp_check(g, f, 1.0, 1.0, 0.0)
         assert rep["sup_uminus"] == 0.0 and rep["ratio"] == 0.0
 
     def test_paraboloid_closed_form(self):
         n, h = 2, 1 / 64
-        u = GridFunction.from_box([-1, -1], [1, 1], h, fn=lambda x: (x @ x - 1) / (2 * n))
+        u = GridFunction.from_box([-1, -1], [1, 1], h, fn=lambda x: (np.vecdot(x, x) - 1) / (2 * n))
         f = GridFunction(2, u.shape, u.origin, u.spacing, np.ones(u.shape))
         rep = abp_check(u, f, 1.0, 1.0, 0.0)
         expected = (1 / (2 * n)) / math.sqrt(math.pi)
@@ -112,7 +112,7 @@ class TestABP:
         assert rep["contact_nodes"] == rep["ball_nodes"]
 
     def test_negative_boundary_rejected(self):
-        g = GridFunction.from_box([-1, -1], [1, 1], 1 / 8, fn=lambda x: -1.0)
+        g = GridFunction.from_box([-1, -1], [1, 1], 1 / 8, fn=lambda x: np.full(len(x), -1.0))
         f = GridFunction(2, g.shape, g.origin, g.spacing, np.ones(g.shape))
         with pytest.raises(InvalidInputError):
             abp_check(g, f, 1.0, 1.0, 0.0, boundary_tol=1e-6)
@@ -141,7 +141,7 @@ class TestSection:
         # concave profile must trip the monotonicity check specifically
         with pytest.raises(NonConvexityError):
             section(
-                lambda x: -float(x @ x), [0.0, 0.0], 0.02, domain=([-2, -2], [2, 2])
+                lambda x: -np.vecdot(x, x), [0.0, 0.0], 0.02, domain=([-2, -2], [2, 2])
             )
 
     def test_escape(self):
@@ -190,7 +190,7 @@ class TestJohn:
             prods.append(norm.product)
         assert max(prods) / min(prods) <= 1.01
         # strictly convex non-quadratic analytic input: factor-4 band
-        f = lambda x: 0.5 * x[0] ** 2 + 0.25 * x[1] ** 4 + 0.5 * x[1] ** 2
+        f = lambda x: 0.5 * x[..., 0] ** 2 + 0.25 * x[..., 1] ** 4 + 0.5 * x[..., 1] ** 2
         prods = []
         for h in heights:
             verts = section(f, [0, 0], h, domain=([-2, -2], [2, 2]))
@@ -294,7 +294,7 @@ def quadratic_grid(h=1 / 32):
     R = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2)
     H = R @ np.diag([1.5, 0.75]) @ R.T
     return GridFunction.from_box(
-        [-1, -1], [1, 1], h, fn=lambda x: 0.3 + 0.1 * x[0] - 0.2 * x[1] + 0.5 * x @ H @ x
+        [-1, -1], [1, 1], h, fn=lambda x: 0.3 + 0.1 * x[..., 0] - 0.2 * x[..., 1] + 0.5 * np.vecdot(x @ H, x)
     )
 
 

@@ -10,6 +10,7 @@ values of their points taken one at a time, bit for bit.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nelliptic import geometry
-from nelliptic.errors import NellipticError
+from nelliptic.errors import NellipticError, SingularityError
 from nelliptic.fixtures import fixture
 from nelliptic.errors import RankError
 from nelliptic.geometry import (
@@ -462,7 +463,7 @@ class TestLockstepSection:
         # level 0.1; a box cut at 0.1 makes ray 0 (+x) or ray 2 (-x) escape,
         # in fewer steps than ray 1 takes to reach the dent
         def u(x):
-            return float(x @ x) - (1.0 if x[1] > 0.2 and abs(x[0]) < 0.1 else 0.0)
+            return np.vecdot(x, x) - np.where((x[..., 1] > 0.2) & (abs(x[..., 0]) < 0.1), 1.0, 0.0)
 
         with pytest.raises(geometry.SectionEscapeError):
             section(u, [0.0, 0.0], 0.1, rays=4, domain=([-1, -1], [0.1, 1]))
@@ -472,7 +473,7 @@ class TestLockstepSection:
     def test_edge_check_comes_before_the_dent_check(self):
         # ray 0 first sees the drop on the box edge x1 = 0.1: an escape
         def u(x):
-            return float(x @ x) - (1.0 if x[0] >= 0.1 else 0.0)
+            return np.vecdot(x, x) - np.where(x[..., 0] >= 0.1, 1.0, 0.0)
 
         with pytest.raises(geometry.SectionEscapeError):
             section(u, [0.0, 0.0], 0.1, rays=4, domain=([-1, -1], [0.1, 1]))
@@ -483,7 +484,7 @@ class TestLockstepSection:
         assert np.array_equal(section(q, [0.2, 0.1], 0.05, rays=rays),
                               ref_section(q, [0.2, 0.1], 0.05, rays=rays))
         def f(x):
-            return 0.5 * x[0] ** 2 + 0.25 * x[1] ** 4 + 0.5 * x[1] ** 2
+            return 0.5 * x[..., 0] ** 2 + 0.25 * x[..., 1] ** 4 + 0.5 * x[..., 1] ** 2
 
         box = ([-2, -2], [2, 2])
         assert np.array_equal(section(f, [0, 0], 0.1, rays=rays, domain=box),
@@ -535,6 +536,31 @@ def old_scalar_value(name, params, x):
     return 0.5 * float(x @ A @ x) + float(b @ x) + params["c"]
 
 
+def old_scalar_rhs(name, params, x):
+    """The fixtures' single-point right-hand sides, in Python float arithmetic;
+    ZeroDivisionError where the closed form divides by 0."""
+    th = params.get("theta")
+    if name == "pmc":
+        r = float(np.linalg.norm(x))
+        d, c = (1.0 - r, th) if r <= 1.0 else (r - 1.0, -th)
+        vp = th * d ** (th - 1.0)
+        w = math.sqrt(1.0 + vp * vp)
+        return c * (1.0 - th) * d ** (th - 2.0) / w**3 + (len(x) - 1) * vp / (r * w)
+    if name == "hq":
+        n, k, l = len(x), params["k"], params["l"]
+        t = abs(x[-1])
+        if t < 1e-300:
+            return math.comb(n - 1, k - 1) / math.comb(n - 1, l - 1)
+        tt = th * t ** (th - 1.0)
+        return ((math.comb(n - 1, k) + math.comb(n - 1, k - 1) * tt)
+                / (math.comb(n - 1, l) + math.comb(n - 1, l - 1) * tt))
+    if name == "slag":
+        return 0.75 * math.pi - math.atan(abs(x[0]) ** (1.0 - th) / th)
+    if name == "harmonic":
+        return 0.0
+    return float(np.linalg.det(np.asarray(params["A"])))
+
+
 FIXTURES = [
     ("pmc", (0.3,), {}),
     ("pmc", (0.2,), {"n": 3}),
@@ -580,6 +606,33 @@ class TestPointStacks:
         assert isinstance(fx(X[0, 0]), float)
         old = np.array([[old_scalar_value(name, fx.params, x) for x in row] for row in X])
         assert np.array_equal(points, old)
+
+    @pytest.mark.parametrize("name,args,kwargs", [f for f in FIXTURES if f[0] != "power"])
+    def test_fixture_rhs_stack_equals_points(self, name, args, kwargs):
+        fx = fixture(name, *args, **kwargs)
+        rng = np.random.default_rng(8)
+        lo, hi = fx.box
+        X = rng.uniform(lo, hi, size=(6, 500, fx.dim))
+        X[0, :20] = np.round(X[0, :20])  # zeros, lattice points, |x| = 1
+        X[0, 20:40, -1] = [0.0, 5e-324, 1e-310, 1e-300] * 5
+        pts = X.reshape(-1, fx.dim)
+        old = []
+        for x in pts:
+            try:
+                old.append(old_scalar_rhs(name, fx.params, x))
+            except ZeroDivisionError:
+                old.append(None)
+        good = np.array([v is not None for v in old])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not good.all():  # pmc at |x| = 1 and 0: the first such point is named
+                with pytest.raises(SingularityError, match=re.escape(str(pts[~good][0].tolist()))):
+                    fx.rhs(X)
+            stack = fx.rhs(pts[good])
+            assert isinstance(fx.rhs(pts[good][0]), float)
+        assert np.array_equal(stack, [v for v in old if v is not None])
+        if good.all():
+            assert np.array_equal(fx.rhs(X), stack.reshape(6, 500))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 2), st.integers(2, 9), st.data())

@@ -122,7 +122,7 @@ class TestMinimaxFit:
 
     def test_exact_polynomial_recovery(self):
         rng = np.random.default_rng(1)
-        pts, _ = ball_samples(lambda x: 0.0, [0, 0], 0.7, m=6)
+        pts, _ = ball_samples(lambda x: np.zeros(len(x)), [0, 0], 0.7, m=6)
         P = Polynomial(2, 2, {s: float(rng.normal()) for s in multi_indices(2, 2)})
         vals = np.array([P(p) for p in pts])
         fit = minimax_fit(pts, vals, [0, 0], 0.7, 2)
@@ -150,7 +150,7 @@ class TestMinimaxFit:
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(6)
-        pts, _ = ball_samples(lambda x: 0.0, [0, 0], 1.0, m=5)
+        pts, _ = ball_samples(lambda x: np.zeros(len(x)), [0, 0], 1.0, m=5)
         u = np.array([math.sin(3 * p[0]) + p[1] ** 3 for p in pts])
         Q = Polynomial(2, 2, {s: float(rng.normal()) for s in multi_indices(2, 2)})
         qv = np.array([Q(p) for p in pts])
@@ -160,7 +160,7 @@ class TestMinimaxFit:
         assert f2.P.minus(f1.P).minus(Q).norm() < 1e-8
 
     def test_error_monotone_in_degree_and_radius(self):
-        fn = lambda x: math.sin(2 * x[0]) * math.cos(x[1])
+        fn = lambda x: np.sin(2 * x[..., 0]) * np.cos(x[..., 1])
         pts, vals = ball_samples(fn, [0, 0], 0.8, m=8)
         errs = [minimax_fit(pts, vals, [0, 0], 0.8, k).error for k in (0, 1, 2, 3)]
         assert all(b <= a + 1e-13 for a, b in zip(errs, errs[1:]))
@@ -172,7 +172,7 @@ class TestMinimaxFit:
 
     def test_constrained_laplacian(self):
         # base Laplacian, P with tr D^2 P = 2, f0 = 4 -> t* = (f0 - 2)/n = 1
-        pts, _ = ball_samples(lambda x: 0.0, [0, 0], 1.0, m=6)
+        pts, _ = ball_samples(lambda x: np.zeros(len(x)), [0, 0], 1.0, m=6)
         P = Polynomial.half_square_norm(2)
         vals = np.array([P(p) for p in pts])
         fit = minimax_fit(
@@ -183,7 +183,7 @@ class TestMinimaxFit:
 
     def test_constrained_monge_ampere(self):
         # P = |x|^2/2, det((1+t)I) = 4 -> t* = 1
-        pts, _ = ball_samples(lambda x: 0.0, [0, 0], 1.0, m=6)
+        pts, _ = ball_samples(lambda x: np.zeros(len(x)), [0, 0], 1.0, m=6)
         P = Polynomial.half_square_norm(2)
         vals = np.array([P(p) for p in pts])
         fit = minimax_fit(
@@ -194,7 +194,7 @@ class TestMinimaxFit:
     def test_constraint_satisfied_and_error_bound(self):
         from nelliptic.operators import Jet, SymMatrix, evaluate
 
-        fn = lambda x: math.cosh(x[0]) + 0.5 * x[1] ** 2 - 1.0
+        fn = lambda x: np.cosh(x[..., 0]) + 0.5 * x[..., 1] ** 2 - 1.0
         pts, vals = ball_samples(fn, [0, 0], 0.6, m=8)
         op = OperatorSpec.linear(np.eye(2))
         f0 = 2.5
@@ -210,7 +210,7 @@ class TestMinimaxFit:
         assert fit.error <= bound + 1e-12
 
     def test_constraint_infeasible(self):
-        pts, _ = ball_samples(lambda x: 0.0, [0, 0], 1.0, m=5)
+        pts, _ = ball_samples(lambda x: np.zeros(len(x)), [0, 0], 1.0, m=5)
         vals = np.zeros(len(pts))
         op = OperatorSpec.lagrangian()  # range of the phase is (-pi, pi) in 2D
         with pytest.raises(ConstraintInfeasibleError):
@@ -225,7 +225,7 @@ class TestMinimaxFit:
             minimax_fit(pts, pts[:, 0], [0, 0], 1.0, 1)
 
     def test_deterministic(self):
-        pts, vals = ball_samples(lambda x: math.sin(x[0] + 2 * x[1]), [0, 0], 0.5, m=6)
+        pts, vals = ball_samples(lambda x: np.sin(x[..., 0] + 2 * x[..., 1]), [0, 0], 0.5, m=6)
         a = minimax_fit(pts, vals, [0, 0], 0.5, 2)
         b = minimax_fit(pts, vals, [0, 0], 0.5, 2)
         assert a.P.coeffs == b.P.coeffs and a.error == b.error
@@ -289,7 +289,7 @@ class TestBallSamples:
         assert len(calls) == 1 and calls[0].shape == pts.shape
 
     def test_grid_stack_equals_points_and_errors(self):
-        g = GridFunction.from_box([-1, -1], [1, 1], 0.125, fn=lambda x: math.sin(x[0]) + x[1] ** 3)
+        g = GridFunction.from_box([-1, -1], [1, 1], 0.125, fn=lambda x: np.sin(x[..., 0]) + x[..., 1] ** 3)
         pts, vals = ball_samples(g, [0.1, -0.2], 0.5, m=6)
         assert np.array_equal(vals, np.array([g(p) for p in pts], dtype=float))
         with pytest.raises(InvalidInputError) as stacked:
@@ -298,19 +298,19 @@ class TestBallSamples:
             g(np.array([1.4, 0.0]))
         assert str(stacked.value) == str(single.value)
 
-    def test_bare_callable_called_per_point(self):
+    def test_callable_called_once_on_the_stack(self):
         seen = []
 
         def fn(x):
             seen.append(np.array(x))
-            return float(x[0] - 2 * x[1])
+            return x[..., 0] - 2 * x[..., 1]
 
         pts, vals = ball_samples(fn, [0.0, 0.0], 1.0, m=3)
-        assert len(seen) == len(pts) and all(s.shape == (2,) for s in seen)
+        assert len(seen) == 1 and seen[0].shape == pts.shape
         assert np.array_equal(vals, pts[:, 0] - 2 * pts[:, 1])
 
         def broken(x):
-            raise SingularityError("no value at %s" % x.tolist())
+            raise SingularityError("no value at %s" % x[0].tolist())
 
         with pytest.raises(SingularityError, match=r"no value at \[-1.0, 0.0\]"):
             ball_samples(broken, [0.0, 0.0], 1.0, m=1)

@@ -134,21 +134,21 @@ class TestCampanato:
                 nrm = sum(abs(a) for a in coeffs.values())
                 Q = Polynomial(2, k, {s: a / max(nrm, 1.0) for s, a in coeffs.items()})
                 beta = k + alpha
-                u = lambda x: float(np.linalg.norm(x)) ** beta + Q(x)
+                u = lambda x: np.linalg.norm(x, axis=-1) ** beta + Q(x)
                 rep = campanato_table(u, [0, 0], CampanatoConfig(k=k, r0=0.5, levels=6))
                 assert abs(rep.alpha_hat - alpha) <= 0.02
 
     def test_below_resolution_classification(self):
         # a sampled transcendental function at modest resolution: only the
         # first scales rise above the interpolation floor
-        g = GridFunction.from_box([-1, -1], [1, 1], 1 / 64, fn=lambda x: math.sin(x[0] + x[1]))
+        g = GridFunction.from_box([-1, -1], [1, 1], 1 / 64, fn=lambda x: np.sin(x[..., 0] + x[..., 1]))
         rep = campanato_table(g, [0, 0], CampanatoConfig(k=2, r0=0.5, levels=4))
         assert rep.classification == "below_resolution"
         assert rep.alpha_hat is None
 
     def test_grid_input_noise_floor(self):
         # sampled smooth function: deep scales drown in interpolation noise
-        g = GridFunction.from_box([-1, -1], [1, 1], 1 / 64, fn=lambda x: math.sin(x[0] + x[1]))
+        g = GridFunction.from_box([-1, -1], [1, 1], 1 / 64, fn=lambda x: np.sin(x[..., 0] + x[..., 1]))
         cfg = CampanatoConfig(k=1, r0=0.5, levels=3)
         rep = campanato_table(g, [0, 0], cfg)
         assert rep.noise_floor > 0
@@ -179,7 +179,7 @@ class TestCampanato:
 
 class TestOscillation:
     def test_linear(self):
-        osc = oscillation_profile(lambda x: x[0], [0.0, 0.0], [0.5, 0.25])
+        osc = oscillation_profile(lambda x: x[..., 0], [0.0, 0.0], [0.5, 0.25])
         assert osc[0][1] == pytest.approx(1.0, rel=1e-9)  # osc = 2r
         assert osc[1][1] == pytest.approx(0.5, rel=1e-9)
 
@@ -215,14 +215,14 @@ class TestHolderSeminorm:
 
 class TestViscosityChecker:
     def test_classical_solution_passes(self):
-        u = GridFunction.from_box([-1, -1], [1, 1], 0.2, fn=lambda x: x @ x)
+        u = GridFunction.from_box([-1, -1], [1, 1], 0.2, fn=lambda x: np.vecdot(x, x))
         f = GridFunction(2, u.shape, u.origin, u.spacing, np.full(u.shape, 4.0))
         rep = check_viscosity(u, OperatorSpec.linear(np.eye(2)), f, side="both", tol=1e-6)
         assert rep.counts("sub")["fail"] == 0 and rep.counts("super")["fail"] == 0
         assert rep.counts("sub")["pass"] > 0 and rep.counts("super")["pass"] > 0
 
     def test_abs_fails_supersolution_at_kink(self):
-        u = GridFunction.from_box([-1.0], [1.0], 1 / 8, fn=lambda x: abs(x[0]))
+        u = GridFunction.from_box([-1.0], [1.0], 1 / 8, fn=lambda x: abs(x[..., 0]))
         f = GridFunction(1, u.shape, u.origin, u.spacing, np.full(u.shape, -1.0))
         rep = check_viscosity(u, OperatorSpec.linear(np.eye(1)), f, side="super", tol=1e-6)
         mid = u.shape[0] // 2
@@ -234,7 +234,7 @@ class TestViscosityChecker:
         # classical residual <= -tol everywhere: never fails the check driven
         # by test functions touching from below (supersolution side); the
         # mirrored statement holds for residual >= +tol
-        u = GridFunction.from_box([-1, -1], [1, 1], 0.25, fn=lambda x: x @ x)
+        u = GridFunction.from_box([-1, -1], [1, 1], 0.25, fn=lambda x: np.vecdot(x, x))
         op = OperatorSpec.linear(np.eye(2))
         f_hi = GridFunction(2, u.shape, u.origin, u.spacing, np.full(u.shape, 5.0))
         rep = check_viscosity(u, op, f_hi, side="super", tol=1e-6)
@@ -248,7 +248,7 @@ class TestViscosityChecker:
         g = GridFunction.from_box([0.553, -0.447], [1.453, 0.453], 0.06)
         vals = np.array([fix(p) for p in g.points()]).reshape(g.shape)
         u = GridFunction(2, g.shape, g.origin, g.spacing, vals)
-        fvals = np.array([fix.rhs(p) for p in g.points()]).reshape(g.shape)
+        fvals = fix.rhs(g.points()).reshape(g.shape)
         f = GridFunction(2, g.shape, g.origin, g.spacing, fvals)
         rep = check_viscosity(u, fix.operator, f, side="both", tol=5e-2, rho=5.0)
         assert rep.counts("sub")["fail"] == 0
@@ -276,7 +276,7 @@ class TestViscosityChecker:
 
     def test_bounded_test_class(self):
         # D^2 u = diag(2, 0): |Q| = 2, so rho = 1.5 leaves no test function
-        u = GridFunction.from_box([-1, -1], [1, 1], 0.25, fn=lambda x: x[0] ** 2)
+        u = GridFunction.from_box([-1, -1], [1, 1], 0.25, fn=lambda x: x[..., 0] ** 2)
         f = GridFunction(2, u.shape, u.origin, u.spacing, np.full(u.shape, 2.0))
         op = OperatorSpec.linear(np.eye(2))
         assert check_viscosity(u, op, f, rho=1.5).counts("sub")["vacuous"] == 49
@@ -286,7 +286,7 @@ class TestViscosityChecker:
         # candidates are tried in order, so a singular one after the first
         # failing one does not change the verdict; one before it raises.
         # Here every candidate fails, the first one included.
-        u = GridFunction.from_box([-1, -1], [1, 1], 0.25, fn=lambda x: x[0] ** 2 - x[1] ** 2 / 2)
+        u = GridFunction.from_box([-1, -1], [1, 1], 0.25, fn=lambda x: x[..., 0] ** 2 - x[..., 1] ** 2 / 2)
         f = GridFunction(2, u.shape, u.origin, u.spacing, np.full(u.shape, 5.0))
         op = OperatorSpec.pucci_minus(0.5, 2.0)
         ref = check_viscosity(u, op, f, side="sub", tol=1e-6)
@@ -543,7 +543,7 @@ def bench_pucci_grid():
     h = 1/4 (9 x 9 nodes, 49 interior) and its Pucci value."""
     H = np.array([[1.2, 0.0], [0.0, -0.5]])
     u = GridFunction.from_box(
-        [-1, -1], [1, 1], 0.25, fn=lambda x: 0.3 + 0.1 * x[0] + 0.5 * x @ H @ x
+        [-1, -1], [1, 1], 0.25, fn=lambda x: 0.3 + 0.1 * x[..., 0] + 0.5 * np.vecdot(x @ H, x)
     )
     f = GridFunction(2, u.shape, u.origin, u.spacing, np.full(u.shape, 2.0 * 1.2 - 0.5 * 0.5))
     return u, OperatorSpec.pucci_plus(0.5, 2.0), f
@@ -610,7 +610,7 @@ class TestBlockChecker:
         fix = fixture("pmc", 0.3)
         g = GridFunction.from_box([0.553, -0.447], [1.453, 0.453], 0.09)
         u = GridFunction(2, g.shape, g.origin, g.spacing, fix(g.points()).reshape(g.shape))
-        rhs = np.array([fix.rhs(p) for p in g.points()]).reshape(g.shape)
+        rhs = fix.rhs(g.points()).reshape(g.shape)
         f = GridFunction(2, g.shape, g.origin, g.spacing, rhs)
         args, kwargs = (u, fix.operator, f), dict(side="both", tol=5e-2, rho=5.0)
         got = outcome(check_viscosity, *args, **kwargs)

@@ -48,9 +48,9 @@ def grid_const(c, h=H, lo=-1.0, hi=1.0):
 class TestLinear:
     def test_harmonic_quadratic_reproduced(self):
         f = grid_const(0.0)
-        g = lambda x: x[0] ** 2 - x[1] ** 2
+        g = lambda x: x[..., 0] ** 2 - x[..., 1] ** 2
         u, _ = solve_linear(np.eye(2), None, f, g)
-        exact = np.array([g(p) for p in u.points()]).reshape(u.shape)
+        exact = g(u.points()).reshape(u.shape)
         assert np.max(np.abs(u.values - exact)) < 1e-10
 
     def test_poisson_sign(self):
@@ -60,26 +60,26 @@ class TestLinear:
         assert imin == center and u.values[center] < 0
 
     def test_affine_exact(self):
-        g = lambda x: 3 * x[0] - x[1] + 0.5
+        g = lambda x: 3 * x[..., 0] - x[..., 1] + 0.5
         u, _ = solve_linear(np.diag([1.0, 2.0]), None, grid_const(0.0), g)
-        exact = np.array([g(p) for p in u.points()]).reshape(u.shape)
+        exact = g(u.points()).reshape(u.shape)
         assert np.max(np.abs(u.values - exact)) < 1e-10
 
     def test_affine_exact_with_drift(self):
         # upwind first differences are exact on affine data
         b = [0.4, -0.3]
-        g = lambda x: 3 * x[0] - x[1] + 0.5
+        g = lambda x: 3 * x[..., 0] - x[..., 1] + 0.5
         u, _ = solve_linear(np.diag([1.0, 2.0]), b, grid_const(b[0] * 3 + b[1] * -1), g)
-        exact = np.array([g(p) for p in u.points()]).reshape(u.shape)
+        exact = g(u.points()).reshape(u.shape)
         assert np.max(np.abs(u.values - exact)) < 1e-10
 
     def test_mixed_term_quadratic(self):
         # A with off-diagonal part still within the monotone regime
         A = np.array([[1.0, 0.4], [0.4, 1.0]])
-        g = lambda x: x[0] * x[1]
+        g = lambda x: x[..., 0] * x[..., 1]
         fval = 2 * A[0, 1]  # tr(A D^2 u) for u = x1 x2
         u, _ = solve_linear(A, None, grid_const(fval), g)
-        exact = np.array([g(p) for p in u.points()]).reshape(u.shape)
+        exact = g(u.points()).reshape(u.shape)
         assert np.max(np.abs(u.values - exact)) < 1e-9
 
     def test_comparison_principle(self):
@@ -88,8 +88,8 @@ class TestLinear:
         f1 = GridFunction.from_box([-1, -1], [1, 1], h)
         f1.values[:] = rng.uniform(0.2, 0.6, size=f1.shape)
         f2 = GridFunction(2, f1.shape, f1.origin, h, f1.values - rng.uniform(0, 0.2, size=f1.shape))
-        u1, _ = solve_linear(np.eye(2), None, f1, lambda x: 0.1 * x[0])
-        u2, _ = solve_linear(np.eye(2), None, f2, lambda x: 0.1 * x[0] + 0.3)
+        u1, _ = solve_linear(np.eye(2), None, f1, lambda x: 0.1 * x[..., 0])
+        u2, _ = solve_linear(np.eye(2), None, f2, lambda x: 0.1 * x[..., 0] + 0.3)
         assert np.all(u1.values <= u2.values + 1e-8)
 
     def test_anisotropy_rejected(self):
@@ -111,12 +111,12 @@ class TestPucci:
         assert np.max(np.abs(puc.values - lin.values)) < 1e-9
 
     def test_maximum_principle(self):
-        g = lambda x: 0.2 + 0.1 * x[0]
+        g = lambda x: 0.2 + 0.1 * x[..., 0]
         u, _ = solve_pucci(0.5, 2.0, "minus", grid_const(0.0), g)
         assert u.values.min() >= -1e-6
 
     def test_plus_dominates_minus(self):
-        g = lambda x: 0.1 * x[0] ** 2
+        g = lambda x: 0.1 * x[..., 0] ** 2
         f = grid_const(0.5)
         up, _ = solve_pucci(0.5, 2.0, "plus", f, g)
         um, _ = solve_pucci(0.5, 2.0, "minus", f, g)
@@ -129,8 +129,8 @@ class TestPucci:
         base_f = GridFunction.from_box([-1, -1], [1, 1], h)
         base_f.values[:] = rng.uniform(0.0, 0.5, size=base_f.shape)
         f2 = GridFunction(2, base_f.shape, base_f.origin, h, base_f.values - rng.uniform(0, 0.3, size=base_f.shape))
-        g1 = lambda x: 0.1 * x[0]
-        g2 = lambda x: 0.1 * x[0] + 0.2
+        g1 = lambda x: 0.1 * x[..., 0]
+        g2 = lambda x: 0.1 * x[..., 0] + 0.2
         u1, _ = solve_pucci(0.5, 1.5, "minus", base_f, g1)
         u2, _ = solve_pucci(0.5, 1.5, "minus", f2, g2)
         assert np.all(u1.values <= u2.values + 1e-8)
@@ -150,34 +150,34 @@ class TestPucci:
 
 class TestMongeAmpere:
     def test_isotropic_quadratic_exact(self):
-        u, _ = solve_monge_ampere(grid_const(1.0), lambda x: 0.5 * (x @ x))
+        u, _ = solve_monge_ampere(grid_const(1.0), lambda x: 0.5 * np.vecdot(x, x))
         exact = np.array([0.5 * (p @ p) for p in u.points()]).reshape(u.shape)
         assert np.max(np.abs(u.values - exact)) < 1e-8
 
     def test_scaled_quadratic_exact(self):
-        u, _ = solve_monge_ampere(grid_const(4.0), lambda x: x @ x)
+        u, _ = solve_monge_ampere(grid_const(4.0), lambda x: np.vecdot(x, x))
         exact = np.array([p @ p for p in u.points()]).reshape(u.shape)
         assert np.max(np.abs(u.values - exact)) < 1e-8
 
     def test_aligned_anisotropic_quadratic_exact(self):
-        g = lambda x: 0.5 * (x[0] ** 2 + 4 * x[1] ** 2)
+        g = lambda x: 0.5 * (x[..., 0] ** 2 + 4 * x[..., 1] ** 2)
         u, _ = solve_monge_ampere(grid_const(4.0), g)
-        exact = np.array([g(p) for p in u.points()]).reshape(u.shape)
+        exact = g(u.points()).reshape(u.shape)
         assert np.max(np.abs(u.values - exact)) < 1e-8
 
     def test_refinement_monotone(self):
-        uex = lambda x: math.exp((x @ x) / 2)
-        ffn = lambda x: (1 + x @ x) * math.exp(x @ x)
+        uex = lambda x: np.exp(np.vecdot(x, x) / 2)
+        ffn = lambda x: (1 + np.vecdot(x, x)) * np.exp(np.vecdot(x, x))
         errs = []
         for h in (1 / 8, 1 / 16, 1 / 32):
             f = GridFunction.from_box([-1, -1], [1, 1], h, fn=ffn)
             u, _ = solve_monge_ampere(f, uex, SolveConfig(tol=1e-10, max_iters=120))
-            exact = np.array([uex(p) for p in u.points()]).reshape(u.shape)
+            exact = uex(u.points()).reshape(u.shape)
             errs.append(np.max(np.abs(u.values - exact)))
         assert errs[0] > errs[1] > errs[2]
 
     def test_discrete_convexity_along_stencil(self):
-        u, _ = solve_monge_ampere(grid_const(1.0), lambda x: 0.5 * (x @ x) + 0.05 * x[0])
+        u, _ = solve_monge_ampere(grid_const(1.0), lambda x: 0.5 * np.vecdot(x, x) + 0.05 * x[..., 0])
         v = u.values
         assert np.all(v[:-2, :] + v[2:, :] - 2 * v[1:-1, :] >= -1e-9)
         assert np.all(v[:, :-2] + v[:, 2:] - 2 * v[:, 1:-1] >= -1e-9)
@@ -189,8 +189,8 @@ class TestMongeAmpere:
         f1 = GridFunction.from_box([-1, -1], [1, 1], h)
         f1.values[:] = rng.uniform(1.0, 2.0, size=f1.shape)
         f2 = GridFunction(2, f1.shape, f1.origin, h, f1.values - rng.uniform(0, 0.5, size=f1.shape))
-        u1, _ = solve_monge_ampere(f1, lambda x: 0.5 * (x @ x))
-        u2, _ = solve_monge_ampere(f2, lambda x: 0.5 * (x @ x) + 0.1)
+        u1, _ = solve_monge_ampere(f1, lambda x: 0.5 * np.vecdot(x, x))
+        u2, _ = solve_monge_ampere(f2, lambda x: 0.5 * np.vecdot(x, x) + 0.1)
         assert np.all(u1.values <= u2.values + 1e-8)
 
     def test_inadmissible_f_rejected(self):
@@ -202,7 +202,7 @@ class TestMongeAmpere:
         # solution's sections stays in a narrow band as h refines
         from nelliptic.geometry import john_normalize, section
 
-        g = lambda x: 0.5 * (x[0] ** 2 + 4 * x[1] ** 2)
+        g = lambda x: 0.5 * (x[..., 0] ** 2 + 4 * x[..., 1] ** 2)
         prods = []
         for h in (1 / 16, 1 / 32):
             u, _ = solve_monge_ampere(grid_const(1.0, h=h), g, SolveConfig(tol=1e-10))
@@ -239,9 +239,9 @@ class TestFallback:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(solver, "_solve_sparse", flaky)
-        g = lambda x: 0.5 * (a * x[0] ** 2 + b * x[1] ** 2) + 0.1 * x[0]
+        g = lambda x: 0.5 * (a * x[..., 0] ** 2 + b * x[..., 1] ** 2) + 0.1 * x[..., 0]
         u, info = solve(grid_const(fval, h=1 / 8), g)
-        exact = np.array([g(p) for p in u.points()]).reshape(u.shape)
+        exact = g(u.points()).reshape(u.shape)
         assert info.fallbacks == 2
         assert np.max(np.abs(u.values - exact)) < 1e-8
 
@@ -259,7 +259,7 @@ class TestFallback:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(solver, "_solve_sparse", failing)
-        g = lambda x: 0.5 * (a * x[0] ** 2 + b * x[1] ** 2) + 0.1 * x[0]
+        g = lambda x: 0.5 * (a * x[..., 0] ** 2 + b * x[..., 1] ** 2) + 0.1 * x[..., 0]
         with pytest.raises(IterationLimitError) as err:
             solve_pucci(0.5, 2.0, sign, grid_const(fval), g, SolveConfig(max_iters=1))
         assert len(calls) == 2 and len(err.value.history) == 1
@@ -277,22 +277,22 @@ class TestFallback:
             return np.full_like(out, np.nan) if len(calls) in (2, 3) else out
 
         monkeypatch.setattr(solver, "_solve_sparse", singular)
-        g = lambda x: 0.5 * (a * x[0] ** 2 + b * x[1] ** 2) + 0.1 * x[0]
+        g = lambda x: 0.5 * (a * x[..., 0] ** 2 + b * x[..., 1] ** 2) + 0.1 * x[..., 0]
         u, info = solve(grid_const(fval, h=1 / 8), g)
-        exact = np.array([g(p) for p in u.points()]).reshape(u.shape)
+        exact = g(u.points()).reshape(u.shape)
         assert len(calls) > 3 and info.fallbacks == 0
         assert np.max(np.abs(u.values - exact)) < 1e-8
 
 
 class TestMeanCurvature:
     def test_affine_exact(self):
-        g = lambda x: 0.3 * x[0] + 0.1 * x[1] + 0.2
+        g = lambda x: 0.3 * x[..., 0] + 0.1 * x[..., 1] + 0.2
         u, _ = solve_mean_curvature(grid_const(0.0), g)
-        exact = np.array([g(p) for p in u.points()]).reshape(u.shape)
+        exact = g(u.points()).reshape(u.shape)
         assert np.max(np.abs(u.values - exact)) < 1e-10
 
     def test_small_bump_converges(self):
-        g = lambda x: 0.05 * math.sin(2 * x[0]) * math.cos(x[1])
+        g = lambda x: 0.05 * np.sin(2 * x[..., 0]) * np.cos(x[..., 1])
         u, _ = solve_mean_curvature(grid_const(0.0), g)
         # gradient stays small in the small-data regime
         du = np.gradient(u.values, u.spacing)
@@ -300,7 +300,7 @@ class TestMeanCurvature:
 
     def test_guard_violation(self):
         with pytest.raises(SmallDataError):
-            solve_mean_curvature(grid_const(0.0), lambda x: 10 * math.sin(5 * x[0]))
+            solve_mean_curvature(grid_const(0.0), lambda x: 10 * np.sin(5 * x[..., 0]))
         with pytest.raises(SmallDataError):
             solve_mean_curvature(grid_const(5.0), 0.0)
 
@@ -308,7 +308,7 @@ class TestMeanCurvature:
 class TestResidual:
     def test_exact_quadratic(self):
         op = OperatorSpec.linear(np.eye(2))
-        u = GridFunction.from_box([-1, -1], [1, 1], H, fn=lambda x: x @ x)
+        u = GridFunction.from_box([-1, -1], [1, 1], H, fn=lambda x: np.vecdot(x, x))
         f = grid_const(4.0)
         r = residual(op, u, f)
         assert np.max(np.abs(r.values)) < 1e-9
@@ -316,7 +316,7 @@ class TestResidual:
     def test_linear_solver_output(self):
         # the 5-point scheme coincides with the central-difference jet, so the
         # operator residual matches the scheme residual
-        f = GridFunction.from_box([-1, -1], [1, 1], H, fn=lambda x: math.sin(x[0]))
+        f = GridFunction.from_box([-1, -1], [1, 1], H, fn=lambda x: np.sin(x[..., 0]))
         u, _ = solve_linear(np.eye(2), None, f, 0.0)
         r = residual(OperatorSpec.linear(np.eye(2)), u, f)
         assert np.max(np.abs(r.values)) < 1e-9
@@ -345,7 +345,7 @@ class TestResidual:
 
     def test_perturbation_scales_linearly(self):
         op = OperatorSpec.linear(np.eye(2))
-        u = GridFunction.from_box([-1, -1], [1, 1], H, fn=lambda x: x @ x)
+        u = GridFunction.from_box([-1, -1], [1, 1], H, fn=lambda x: np.vecdot(x, x))
         f = grid_const(4.0)
         bump = np.zeros(u.shape)
         c = (u.shape[0] // 2, u.shape[1] // 2)
@@ -360,7 +360,7 @@ class TestResidual:
 class TestBoundaryValues:
     @staticmethod
     def per_node(g, grid):
-        # reference: one call of g per boundary node, in row-major order
+        # reference: g at each boundary node, one at a time, in row-major order
         out = np.zeros(grid.shape)
         pts = grid.points().reshape(grid.shape + (grid.dim,))
         for idx in np.argwhere(grid.boundary_mask()):
@@ -369,24 +369,26 @@ class TestBoundaryValues:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_callable_matches_per_node_loop(self, dim):
+        # g is called once, on the stack of boundary nodes in row-major order
         grid = GridFunction.from_box([-1.0] * dim, [0.7] * dim, 0.1, dim=dim)
         seen = []
 
         def g(x):
-            seen.append(tuple(x))
-            return math.sin(3 * x[0]) + x[-1] ** 3 / 7
+            seen.append(np.array(x))
+            return 3 * x[..., 0] - x[..., -1] * x[..., -1] / 7
 
         got = boundary_values(g, grid)
         calls = list(seen)
         seen.clear()
         ref = self.per_node(g, grid)
-        assert np.array_equal(got, ref) and calls == seen
+        assert np.array_equal(got, ref) and len(calls) == 1
+        assert np.array_equal(calls[0], np.stack(seen))
 
     def test_scalar_array_and_grid_data(self):
         grid = grid_const(0.0, h=1 / 8)
         arr = np.random.default_rng(5).normal(size=grid.shape)
         bmask = grid.boundary_mask()
-        ref = self.per_node(lambda x: 0.3, grid)
+        ref = self.per_node(lambda x: np.full(x.shape[:-1], 0.3), grid)
         assert np.array_equal(boundary_values(0.3, grid)[bmask], ref[bmask])
         for g in (arr, GridFunction(2, grid.shape, grid.origin, grid.spacing, arr)):
             assert np.array_equal(boundary_values(g, grid), arr)
