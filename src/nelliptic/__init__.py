@@ -32,9 +32,7 @@ from .polyfit import (
     MinimaxFit,
     Polynomial,
     ball_samples,
-    eval_poly,
     minimax_fit,
-    poly_norm,
     taylor_of,
 )
 from .regularity import (

@@ -169,10 +169,9 @@ def _emit(record, kind, config):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _config_of(args, keys):
-    out = {k: getattr(args, k.replace("-", "_"), None) for k in keys}
-    out["threads"] = args.threads
-    return out
+def _options(args):
+    """A record's config: the parsed options, threads included."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "fn")}
 
 
 def _floats(text, what, count=None):
@@ -234,13 +233,12 @@ def _cmd_probe(args):
     op = OperatorSpec.parse(args.op)
     if args.shift_identity:
         op = shift(op, Polynomial.half_square_norm(args.n), normalize_origin=True)
-    rho = args.rho if args.rho is not None else DEFAULT_PROBE_RHO[op.family]
+    if args.rho is None:
+        args.rho = DEFAULT_PROBE_RHO[op.family]
     sc = ellipticity_probe(
-        op, rho, args.n, samples=args.samples, seed=args.seed, pairs=args.pairs
+        op, args.rho, args.n, samples=args.samples, seed=args.seed, pairs=args.pairs
     )
-    cfg = _config_of(args, ["op", "rho", "n", "samples", "seed", "pairs", "shift_identity"])
-    cfg["rho"] = rho
-    _emit(sc.to_dict(), "probe", cfg)
+    _emit(sc.to_dict(), "probe", _options(args))
     return 0
 
 
@@ -272,16 +270,11 @@ def _cmd_solve(args):
     else:
         raise ParameterError("unknown equation %r" % args.eq)
     write_grid(u, args.out)
-    cfg = _config_of(
-        args,
-        ["eq", "grid", "box", "h", "f", "g", "out", "stencil", "tol", "max_iters",
-         "A", "b", "lam", "Lam", "sign", "guard"],
-    )
     rec = {"out": args.out, "shape": list(u.shape), "spacing": u.spacing,
            "iterations": info.iterations, "residual": info.residual}
     if info.history is not None:
         rec["residual_history"] = info.history
-    _emit(rec, "solve", cfg)
+    _emit(rec, "solve", _options(args))
     return 0
 
 
@@ -330,15 +323,10 @@ def _cmd_analyze(args):
 
 
 def _cmd_check(args):
-    fixture = None
-    if args.fixture:
-        fixture = fixtures_mod.parse_fixture(args.fixture)
+    u, fixture = _analysis_input(args)
+    if fixture is not None:
         like = _grid_from_args(args, dim=fixture.dim)
         u = GridFunction(like.dim, like.shape, like.origin, like.spacing, fixture(like.points()))
-    else:
-        if not args.input:
-            raise ParameterError("need --input FILE or --fixture name:theta")
-        u = read_grid(args.input)
     if args.op:
         op = OperatorSpec.parse(args.op)
     elif fixture is not None and fixture.operator is not None:
@@ -349,15 +337,12 @@ def _cmd_check(args):
     report = regularity.check_viscosity(
         u, op, f, side=args.side, tol=args.tol, rho=args.rho
     )
-    conf = _config_of(
-        args, ["input", "fixture", "op", "f", "side", "tol", "rho", "grid", "box", "h"]
-    )
     rec = {
         "counts": {"sub": report.counts("sub"), "super": report.counts("super")},
         "witnesses": report.witnesses[:16],
         "nodes_tested": len(report.nodes),
     }
-    _emit(rec, "viscosity", conf)
+    _emit(rec, "viscosity", _options(args))
     return 0
 
 
@@ -365,8 +350,7 @@ def _cmd_abp(args):
     u = read_grid(args.input)
     f = _load_field(args.f, u)
     rec = geometry.abp_check(u, f, args.lam, args.Lam, args.b0)
-    conf = _config_of(args, ["input", "f", "lam", "Lam", "b0"])
-    _emit(rec, "abp", conf)
+    _emit(rec, "abp", _options(args))
     return 0
 
 
@@ -374,14 +358,13 @@ def _cmd_normalize(args):
     u, fixture = _analysis_input(args)
     x0 = _parse_point(args.point, u.dim)
     heights = _floats(args.heights, "--heights")
-    conf = _config_of(args, ["input", "fixture", "point", "heights", "rays"])
     for h in heights:
         verts = geometry.section(u, x0, h, rays=args.rays)
         norm = geometry.john_normalize(verts, h, u.dim)
         rec = norm.to_dict()
         del rec["vertices"]  # keep the stream compact; vertices via section users
         rec["n_vertices"] = len(verts)
-        _emit(rec, "normalize", conf)
+        _emit(rec, "normalize", _options(args))
     return 0
 
 
@@ -407,7 +390,7 @@ def _cmd_fixtures(args):
                 rec["rhs"] = fix.rhs(x)
             except SingularityError:
                 pass
-        _emit(rec, "fixtures", _config_of(args, ["action", "fixture", "point"]))
+        _emit(rec, "fixtures", _options(args))
         return 0
     raise ParameterError("fixtures action must be list or eval")
 

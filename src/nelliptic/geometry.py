@@ -267,8 +267,10 @@ def abp_check(u: GridFunction, f: GridFunction, lam, Lam, b0, boundary_tol=None)
     radius = float(np.min((hi - lo) / 2.0))
     dist = np.linalg.norm(pts - center, axis=1).reshape(u.shape)
     ball = dist <= radius + 1e-12
+    if not ball.any():
+        raise InvalidInputError("no grid node lies in the ball inscribed in the grid box")
 
-    scale = float(np.max(np.abs(u.values))) if u.values.size else 1.0
+    scale = float(np.max(np.abs(u.values)))
     tol_b = boundary_tol if boundary_tol is not None else 4.0 * u.spacing * (1.0 + scale)
     ring = ball & (dist >= radius - 1.5 * u.spacing)
     if np.any(u.values[ring] < -tol_b):

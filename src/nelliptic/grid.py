@@ -37,6 +37,8 @@ class GridFunction:
             raise InvalidInputError("GridFunction supports dim 1 or 2")
         if len(self.shape) != self.dim or len(self.origin) != self.dim:
             raise InvalidInputError("shape/origin must have length dim")
+        if min(self.shape) < 1:
+            raise InvalidInputError("every grid axis needs a node")
         if not (self.spacing > 0 and np.isfinite(self.spacing)):
             raise InvalidInputError("spacing must be positive and finite")
         self.values = np.asarray(self.values, dtype=float).reshape(self.shape)
@@ -61,9 +63,7 @@ class GridFunction:
             raise InvalidInputError("grid box needs finite lo <= hi and a positive finite spacing")
         shape = tuple(int(round((b - a) / h)) + 1 for a, b in zip(lo, hi))
         g = GridFunction(dim, shape, tuple(lo), float(h), np.zeros(shape))
-        if fn is not None:
-            g.values = np.array(fn(g.points()), dtype=float).reshape(shape)
-        return g
+        return g if fn is None else GridFunction(dim, shape, g.origin, g.spacing, fn(g.points()))
 
     def axes(self):
         return [
@@ -79,9 +79,6 @@ class GridFunction:
         lo = np.asarray(self.origin, dtype=float)
         hi = lo + self.spacing * (np.asarray(self.shape) - 1)
         return lo, hi
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.dim, self.shape, self.origin, self.spacing, self.values.copy())
 
     def interior_mask(self) -> np.ndarray:
         m = np.zeros(self.shape, dtype=bool)
@@ -99,6 +96,8 @@ class GridFunction:
     def __call__(self, x):
         """Multilinear interpolation at a point x[n] (a float) or a stack of
         points x[..., n] (an array); every point must lie inside the box."""
+        if min(self.shape) < 2:
+            raise InvalidInputError("interpolation needs 2 nodes on every grid axis")
         x = np.atleast_1d(np.asarray(x, dtype=float))
         lo, hi = self.box()
         if np.any(x < lo - 1e-9 * self.spacing) or np.any(x > hi + 1e-9 * self.spacing):

@@ -513,6 +513,8 @@ _PRIMES = (
     67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
     139, 149, 151, 157, 163, 167, 173,
 )
+# a jet row takes n(n+1)/2 + n + 3 Halton bases, one prime each: 38 at n = 7
+_N_MAX = 7
 
 
 def _halton(indices, dim: int) -> np.ndarray:
@@ -691,6 +693,8 @@ def ellipticity_probe(
     """
     if not 0 < rho <= _RHO_MAX:
         raise ParameterError("probe requires 0 < rho <= %g (--rho)" % _RHO_MAX)
+    if not 1 <= n <= _N_MAX:
+        raise ParameterError("probe requires 1 <= n <= %d (--n)" % _N_MAX)
     margin = 1e-3 * min(1.0, rho)
     m_tri = n * (n + 1) // 2
     x0 = np.zeros(n)

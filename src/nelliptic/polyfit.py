@@ -78,19 +78,15 @@ class Polynomial:
         return Polynomial(dim, degree, {})
 
     @staticmethod
-    def from_quadratic(A, b, c, dim=None) -> "Polynomial":
-        """1/2 x^T A x + b.x + c as a coefficient table."""
+    def from_quadratic(A, b, c, degree=2) -> "Polynomial":
+        """1/2 x^T A x + b.x + c as a coefficient table of the given degree
+        (b may be None); zero coefficients are not stored."""
         A = np.asarray(A, dtype=float)
-        n = A.shape[0] if dim is None else dim
-        coeffs = {}
-        if c:
-            coeffs[(0,) * n] = float(c)
+        n = A.shape[0]
+        coeffs = {(0,) * n: float(c)} if c else {}
         for i in range(n):
-            bi = float(np.asarray(b, dtype=float)[i]) if b is not None else 0.0
-            if bi:
-                sigma = [0] * n
-                sigma[i] = 1
-                coeffs[tuple(sigma)] = bi
+            if b is not None and b[i]:
+                coeffs[_unit(n, i)] = float(b[i])
         for i in range(n):
             for j in range(i, n):
                 sigma = [0] * n
@@ -98,7 +94,7 @@ class Polynomial:
                 sigma[j] += 1
                 if A[i, j]:
                     coeffs[tuple(sigma)] = float(A[i, j])
-        return Polynomial(n, 2, coeffs)
+        return Polynomial(n, degree, coeffs)
 
     @staticmethod
     def half_square_norm(n: int) -> "Polynomial":
@@ -206,14 +202,6 @@ def _horner(mono: dict, xt: np.ndarray, dim: int):
     return acc
 
 
-def eval_poly(P: Polynomial, x) -> float:
-    return P(x)
-
-
-def poly_norm(P: Polynomial, r: float) -> float:
-    return P.norm(r)
-
-
 # ---------------------------------------------------------------------------
 # sampling helpers
 
@@ -222,6 +210,8 @@ def ball_samples(fn, x0, radius, m: int = 8):
     """Tensor grid of (2m+1)^n points on the cube around x0 intersected with
     the closed ball of the given radius; returns (points, values). fn is a
     function of a point stack, called once on the points."""
+    if m < 1:
+        raise ParameterError("ball samples need m >= 1 (--samples-m)")
     x0 = np.asarray(x0, dtype=float)
     n = len(x0)
     axis = np.linspace(-radius, radius, 2 * m + 1)
@@ -341,21 +331,7 @@ class MinimaxFit:
     active_points: list
     constrained: bool = False
     t_correction: float = 0.0
-    x0: tuple = ()
-    radius: float = 0.0
     residuals: np.ndarray = field(default=None, repr=False)
-
-    def to_dict(self):
-        return {
-            "P": self.P.to_dict(),
-            "error": self.error,
-            "active_points": list(map(int, self.active_points)),
-            "constrained": self.constrained,
-            "t_correction": self.t_correction,
-            "x0": list(self.x0),
-            "radius": self.radius,
-            "P_norm": self.P.norm(1.0),
-        }
 
 
 def _design_matrix(points, x0, degree):
@@ -421,7 +397,7 @@ def minimax_fit(points, values, x0, radius, degree, constraint=None, t_bound=16.
     coeffs = {sigmas[i]: float(coef[i]) for i in range(d) if coef[i] != 0.0}
     P = Polynomial(dim, degree, coeffs)
     res, err, active = _fit_errors(P, points, values, x0)
-    fit = MinimaxFit(P, err, active, x0=tuple(x0), radius=float(radius), residuals=res)
+    fit = MinimaxFit(P, err, active, residuals=res)
 
     if constraint is None:
         return fit
@@ -443,16 +419,7 @@ def minimax_fit(points, values, x0, radius, degree, constraint=None, t_bound=16.
     corr = Polynomial.half_square_norm(dim).scaled(tstar)
     P2 = P.plus(corr)
     res2, err2, active2 = _fit_errors(P2, points, values, x0)
-    return MinimaxFit(
-        P2,
-        err2,
-        active2,
-        constrained=True,
-        t_correction=tstar,
-        x0=tuple(x0),
-        radius=float(radius),
-        residuals=res2,
-    )
+    return MinimaxFit(P2, err2, active2, constrained=True, t_correction=tstar, residuals=res2)
 
 
 def _solve_t_correction(g, t_bound):
@@ -515,20 +482,6 @@ def taylor_of(fixture, x0, k: int) -> Polynomial:
             % (fixture.name, k)
         )
     n = fixture.dim
-    coeffs = {(0,) * n: float(fixture(x0))}
-    if k >= 1:
-        gradv = fixture.grad(x0)
-        for i in range(n):
-            if gradv[i]:
-                coeffs[_unit(n, i)] = float(gradv[i])
-    if k >= 2:
-        H = fixture.hess(x0)
-        for i in range(n):
-            for j in range(i, n):
-                a = float(H[i, j])
-                if a:
-                    sigma = [0] * n
-                    sigma[i] += 1
-                    sigma[j] += 1
-                    coeffs[tuple(sigma)] = a
-    return Polynomial(n, k, coeffs)
+    H = fixture.hess(x0) if k == 2 else np.zeros((n, n))
+    grad = fixture.grad(x0) if k >= 1 else None
+    return Polynomial.from_quadratic(H, grad, float(fixture(x0)), degree=k)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import operator
@@ -190,6 +191,10 @@ class TestGridFile:
         assert p1.read_bytes() == p2.read_bytes()
         assert np.array_equal(g.values, g2.values)
         assert g2.origin == g.origin and g2.spacing == g.spacing
+
+    def test_from_box_checks_the_values_of_fn(self):
+        with pytest.raises(InvalidInputError, match="finite"):
+            GridFunction.from_box([0, 0], [1, 1], 0.5, fn=lambda x: np.full(len(x), np.nan))
 
     def test_1d_round_trip(self, tmp_path):
         g = GridFunction(1, (9,), (-2.0,), 0.5, np.linspace(0, 1, 9))
@@ -409,6 +414,64 @@ class TestExitCodes:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (code, b"")
+
+
+# grid files with an axis without nodes, with one node per axis, and with no
+# node in the ball inscribed in the box
+DEGENERATE = {"empty": ("0 3", []), "one-node": ("1 1", [1]), "no-ball-node": ("2 2", [1, 2, 3, 4])}
+ABP = ["abp", "--input", "u.grid", "--lambda", "1", "--Lambda", "1"]
+
+
+@pytest.mark.parametrize("grid,argv,message", [
+    pytest.param("empty", ABP, "axis needs a node", id="abp-empty"),
+    *(pytest.param("empty", ["solve", "--eq", eq, "--grid", "u.grid", "--g", "0", "--out",
+                             "o.grid"], "axis needs a node", id="solve-%s-empty" % eq)
+      for eq in ("linear", "pucci", "ma", "mc")),
+    pytest.param("one-node", ["normalize", "--input", "u.grid", "--heights", "0.1"],
+                 "2 nodes on every grid axis", id="normalize-one-node"),
+    pytest.param("no-ball-node", ABP, "no grid node lies in the ball", id="abp-no-ball-node"),
+])
+def test_degenerate_grid_file_is_3(grid, argv, message, tmp_path, monkeypatch, capsys):
+    shape, values = DEGENERATE[grid]
+    lines = ["nelliptic-grid v1", "dim 2", "shape " + shape, "origin 0 0", "spacing 0.5"]
+    (tmp_path / "u.grid").write_text("\n".join(lines + [str(v) for v in values]) + "\n")
+    monkeypatch.chdir(tmp_path)
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    rec = json.loads(out)
+    assert (rc, rec["kind"], rec["error"], err) == (3, "error", "InvalidInputError", "")
+    assert message in rec["message"]
+
+
+# a cheap successful argv of every subcommand whose config is its options;
+# abp reads the grid that solve writes
+CONFIG_ARGV = {
+    "probe": ["probe", "--op", "mc", "--samples", "8", "--pairs", "4"],
+    "solve": ["solve", "--eq", "linear", "--box=0,1", "--h", "0.25", "--g", "0", "--out", "o.grid"],
+    "check": ["check", "--fixture", "quadratic", "--box=-1,1", "--h", "0.5"],
+    "abp": ["abp", "--input", "o.grid", "--lambda", "1", "--Lambda", "1"],
+    "normalize": ["normalize", "--fixture", "quadratic", "--heights", "0.01", "--rays", "16"],
+    "fixtures": ["fixtures", "eval", "--fixture", "quadratic"],
+}
+
+
+def test_record_config_is_the_parsed_options(tmp_path, monkeypatch, capsys):
+    (subs,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(CONFIG_ARGV) == set(subs.choices) - {"analyze"}
+    monkeypatch.chdir(tmp_path)
+    for command, argv in CONFIG_ARGV.items():
+        assert main(argv) == 0, argv
+        options = {a.dest for a in subs.choices[command]._actions if a.dest != "help"}
+        for line in capsys.readouterr().out.splitlines():
+            assert set(json.loads(line)["config"]) == options | {"threads"}, argv
+
+
+def test_probe_dimension_past_the_halton_bases_is_an_error_record(capsys):
+    rc = main(["probe", "--op", "mc", "--n", "8"])
+    out, err = capsys.readouterr()
+    rec = json.loads(out)
+    assert (rc, rec["kind"], rec["error"], err) == (3, "error", "ParameterError", "")
+    assert "n <= 7" in rec["message"]
 
 
 def test_probe_radius_too_large_for_its_arithmetic_is_an_error_record():

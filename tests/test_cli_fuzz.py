@@ -26,7 +26,7 @@ from nelliptic.grid import GridFunction, write_grid
 NUMBERS = ["x", "", "nan", "inf", "-inf", "1e999", "1,2", "0x1"]
 INTS = ["x", "", "1.5", "1e3"]
 FILES = ["u.grid", "u1.grid", "coarse.grid", "missing.grid", "bad.grid", "binary.grid",
-         "short.grid", "dir"]
+         "short.grid", "empty.grid", "one.grid", "two.grid", "dir"]
 OPS = ["pucci+:1:2", "pucci-:1:2", "pucci+:2:1", "pucci+:0:1", "sigma:2", "sigma:3", "sigma:0",
        "quotient:2:1", "quotient:1:2", "mc", "ma", "slag", "linear:1,0,1", "linear:1,5,1",
        "linear:-1,0,1", "linear:1,0", "bogus", "", "pucci+:x:1", "sigma:", "ma:1"]
@@ -58,7 +58,7 @@ SWITCH = None
 
 SUBCOMMANDS = {
     "probe": {
-        "--op": pick(OPS), "--rho": num(1, 0.5, 0, -1), "--n": whole(1, 2, 3, 0, -1),
+        "--op": pick(OPS), "--rho": num(1, 0.5, 0, -1), "--n": whole(1, 2, 3, 8, 0, -1),
         "--samples": whole(8, 12, 0, -1), "--seed": whole(0, 1, -1, -7, 100000000000000000000), "--pairs": whole(4, 0, -1),
         "--shift-identity": SWITCH,
     },
@@ -159,6 +159,11 @@ def workdir(tmp_path_factory):
     (root / "short.grid").write_text(
         "nelliptic-grid v1\ndim 2\nshape 3 3\norigin 0 0\nspacing 0.5\n1\n2\n")
     (root / "binary.grid").write_bytes(b"\xff\xfe\x00grid")
+    # no node on an axis, one node per axis, no node in the inscribed ball
+    for name, shape, values in [("empty", "0 3", ""), ("one", "1 1", "1\n"),
+                                ("two", "2 2", "1\n2\n3\n4\n")]:
+        (root / ("%s.grid" % name)).write_text(
+            "nelliptic-grid v1\ndim 2\nshape %s\norigin 0 0\nspacing 0.5\n%s" % (shape, values))
     (root / "dir").mkdir()
     return root
 

@@ -17,10 +17,8 @@ from nelliptic.operators import OperatorSpec
 from nelliptic.polyfit import (
     Polynomial,
     ball_samples,
-    eval_poly,
     minimax_fit,
     multi_indices,
-    poly_norm,
     taylor_of,
 )
 
@@ -56,7 +54,7 @@ def dense_lp_oracle(points, values, degree):
 class TestPolynomial:
     def test_eval_factorial_convention(self):
         P = Polynomial(2, 2, {(2, 0): 2.0})  # a/sigma! = 1 -> x1^2
-        assert eval_poly(P, (3.0, 0.0)) == pytest.approx(9.0)
+        assert P((3.0, 0.0)) == pytest.approx(9.0)
 
     def test_zero_everywhere(self):
         P = Polynomial.zero(2, 3)
@@ -79,8 +77,7 @@ class TestPolynomial:
 
     def test_norms(self):
         P = Polynomial(1, 1, {(0,): 1.0, (1,): 1.0})
-        assert poly_norm(P, 2.0) == pytest.approx(3.0)
-        assert poly_norm(P, 1.0) == pytest.approx(P.norm())
+        assert P.norm(2.0) == pytest.approx(3.0)
 
     def test_norm_scaling_identity(self):
         # ||P(c.)||_1 = ||P||_c under the coefficient rescaling a -> a c^{|s|}
@@ -262,6 +259,14 @@ class TestTaylor:
             fd2 = (fx(x0 + e) - 2 * fx(x0) + fx(x0 - e)) / h**2
             assert P.hessian(np.zeros(2))[d, d] == pytest.approx(fd2, abs=1e-5)
 
+    def test_lower_degrees_truncate_the_quadratic(self):
+        fx, x0 = fixture("slag", 0.6), np.array([0.3, -0.2])
+        P2 = taylor_of(fx, x0, 2)
+        for k in (0, 1):
+            P = taylor_of(fx, x0, k)
+            assert P.degree == k
+            assert P.coeffs == {s: a for s, a in P2.coeffs.items() if sum(s) <= k}
+
     def test_singularity_error(self):
         fx = fixture("slag", 0.4)
         with pytest.raises(SingularityError):
@@ -314,3 +319,8 @@ class TestBallSamples:
 
         with pytest.raises(SingularityError, match=r"no value at \[-1.0, 0.0\]"):
             ball_samples(broken, [0.0, 0.0], 1.0, m=1)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_no_samples_per_axis_is_a_parameter_error(self, m):
+        with pytest.raises(ParameterError, match="m >= 1"):
+            ball_samples(lambda x: x[..., 0], [0.0, 0.0], 1.0, m=m)
