@@ -19,14 +19,15 @@ convex u on the ball are cut off by a larger extension box, which would
 shrink the contact set below its continuum value).
 
 Sections S_h(x0) = {u - supporting affine function < h} of a convex function
-are traced by expansion and bisection along rays, all rays in lockstep with
-one evaluation of u per step on the stack of ray points. Here, as everywhere
-in the package, a function of a point is called on a stack x[..., n] and
-gives the values of its batch shape (a float at a single point x[n]). The
-minimum-volume enclosing ellipsoid of the section boundary (Newton steps on
-the dual D-optimal design over an active set of touching points) yields the
-affine normalization T with B_{1/n} subset T(S_h) subset B_1 and the
-scale-invariant product (det T)^2 h^n.
+are traced by expansion and bisection along rays: one evaluation of u on the
+stack of every ray's expansion steps, then one per bisection step on the
+rays still bisecting. Here, as everywhere in the package, a function of a
+point is called on a stack x[..., n] and gives the values of its batch
+shape (a float at a single point x[n]). The minimum-volume enclosing
+ellipsoid of the section boundary (Newton steps on the dual D-optimal design
+over an active set of touching points) yields the affine normalization T
+with B_{1/n} subset T(S_h) subset B_1 and the scale-invariant product
+(det T)^2 h^n.
 """
 
 from __future__ import annotations
@@ -323,10 +324,13 @@ def section(u, x0, h, rays: int = 256, domain=None) -> np.ndarray:
     l_x0 is the supporting affine function at x0 (value + gradient; central
     differences when u has no grad). Along each ray from x0, steps grow by
     1.3 until the profile reaches h, then bisection runs to 1e-10 of the
-    domain diameter (at most 200 steps); the rays advance in lockstep, with
-    one evaluation of u per step on the stack of their points. For the first
-    failing ray, raises SectionEscapeError when it leaves the domain below
-    the level h, and NonConvexityError when the profile decreases along it.
+    domain diameter (at most 200 steps). u is evaluated once on the stack
+    of every ray's expansion steps up to its box edge, and then once per
+    bisection step on the rays still bisecting. For the first failing ray,
+    raises SectionEscapeError when it leaves the domain below the level h,
+    and NonConvexityError when the profile decreases along it. The domain
+    box must be finite with lo < hi, and x0 must lie in it, or
+    InvalidInputError is raised.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = len(x0)
@@ -335,8 +339,12 @@ def section(u, x0, h, rays: int = 256, domain=None) -> np.ndarray:
     if not 0 < h < math.inf:
         raise ParameterError("section height h must be positive and finite")
     lo, hi = _domain_box(u, domain)
-    diam = float(np.linalg.norm(hi - lo))
     u0 = float(u(x0))
+    if not (np.all(np.isfinite(np.concatenate([lo, hi]))) and np.all(lo < hi)):
+        raise InvalidInputError("section needs a finite box with lo < hi on every axis")
+    if np.any((x0 < lo) | (x0 > hi)):
+        raise InvalidInputError("section base point %s lies outside its box" % (x0.tolist(),))
+    diam = float(np.linalg.norm(hi - lo))
     if getattr(u, "grad", None) is not None:
         g = np.asarray(u.grad(x0), dtype=float)
     else:
@@ -357,44 +365,42 @@ def section(u, x0, h, rays: int = 256, domain=None) -> np.ndarray:
     if isinstance(u, GridFunction):
         # bilinear interpolants of convex data are only convex up to O(h^2)
         dent_tol += 0.5 * u.spacing**2 * (1.0 + abs(u0))
-    count = len(dirs)
-    t = np.minimum(1e-6 * diam, 0.25 * tm)
-    t_lo, t_hi, prev, val = (np.zeros(count) for _ in range(4))
-    expanding, bisecting = np.ones(count, dtype=bool), np.zeros(count, dtype=bool)
-    steps = np.zeros(count, dtype=int)
-    failed = np.zeros(count, dtype=int)  # 1: escaped, 2: profile decreased
-    while True:
-        bisecting &= (t_hi - t_lo > 1e-10 * diam) & (steps < 200)
-        active = expanding | bisecting
-        if not active.any():
-            break
-        mid = 0.5 * (t_lo + t_hi)
-        X = x0 + np.where(expanding, np.minimum(t, tm), mid)[active, None] * dirs[active]
-        val[active] = u(X) - u0 - np.vecdot(X - x0, g)
-        # expansion: the box edge, then a dent, then the level h ends it
-        edge = expanding & (t >= tm)
-        failed[edge & (val < h)] = 1
-        dent = expanding & ~edge & (val < prev - dent_tol)
-        failed[dent] = 2
-        grow = expanding & ~edge & ~dent & (val < h)
-        prev[grow], t_lo[grow] = val[grow], t[grow]
-        # bisection halves [t_lo, t_hi]
-        hit, miss = bisecting & (val >= h), bisecting & (val < h)
-        t_hi[hit], t_lo[miss] = mid[hit], mid[miss]
-        steps += bisecting
-        done = expanding & ~grow & (failed == 0)
-        t_hi[done] = np.where(edge, tm, t)[done]
-        bisecting |= done
-        t[grow] *= 1.3
-        expanding = grow
-    bad = np.flatnonzero(failed)
-    if bad.size and failed[bad[0]] == 1:
+    # expansion steps T[:, k] = T[:, k - 1] * 1.3 up to the first column at
+    # which every ray is at its box edge, all in one evaluation of u; the
+    # points past a ray's stop are not read
+    count, t0 = len(dirs), np.minimum(1e-6 * diam, 0.25 * tm)
+    ratio = np.max(np.divide(tm, t0, out=np.ones(count), where=t0 > 0), initial=1.0)
+    T = np.full((count, int(math.log(ratio) / math.log(1.3)) + 3), 1.3)
+    T = np.multiply.accumulate(np.concatenate([t0[:, None], T], 1), axis=1)
+    T = T[:, : 1 + np.max(np.argmax(T >= tm[:, None], axis=1), initial=0)]
+    # a first step of 0 or 5e-324 (x0 within 2e-323 of the edge) never grows
+    T[:, -1] = np.maximum(T[:, -1], tm)
+    X = x0 + np.minimum(T, tm[:, None])[..., None] * dirs[:, None]
+    val = u(X) - u0 - np.vecdot(X - x0, g)
+    # a ray stops at the box edge, a dent or the level h, whichever comes first
+    edge = T >= tm[:, None]
+    dent = val < np.concatenate([np.zeros((count, 1)), val[:, :-1]], 1) - dent_tol
+    k, at = np.argmax(edge | dent | ~(val < h), axis=1), np.arange(count)
+    edge, dent, escaped = edge[at, k], dent[at, k], val[at, k] < h
+    bad = np.flatnonzero((edge & escaped) | (~edge & dent))
+    if bad.size and edge[bad[0]]:
         raise SectionEscapeError("section at height %g reaches the domain boundary" % h)
     if bad.size:
         raise NonConvexityError(
             "profile decreases along ray %s: convexity precondition fails"
             % (dirs[bad[0]].tolist(),)
         )
+    # bisection halves [t_lo, t_hi] on every ray still wider than the tolerance
+    t_lo, t_hi = np.where(k > 0, T[at, k - 1], 0.0), np.where(edge, tm, T[at, k])
+    for _ in range(200):
+        on = np.flatnonzero(t_hi - t_lo > 1e-10 * diam)
+        if not on.size:
+            break
+        mid = 0.5 * (t_lo[on] + t_hi[on])
+        X = x0 + mid[:, None] * dirs[on]
+        val = u(X) - u0 - np.vecdot(X - x0, g)
+        hit, miss = val >= h, val < h
+        t_hi[on[hit]], t_lo[on[miss]] = mid[hit], mid[miss]
     return x0 + (0.5 * (t_lo + t_hi))[:, None] * dirs
 
 

@@ -369,9 +369,10 @@ class _NodeBlock:
         self.admissible = every if rho is None else np.linalg.norm(self.P, axis=-1) <= rho
 
     def touching(self, act, k, below):
-        """(row of act, slope) of each paraboloid with the curvature of slot k
-        that touches u from below (or above) on the stencil of a node of act,
-        by node, then sweep slopes and slope-box corners in order."""
+        """(row, slope) of each paraboloid that touches u from below (or
+        above) on the stencil of its row's node. Row r pairs node act[r] with
+        its curvature slot k[r]; candidates go by row, then sweep slopes and
+        slope-box corners in order."""
         z, du, ins, Q = self.z, self.du[act], self.inside[act], self.Q[act, k]
         slack = self.slack[act, None]
         quad = 0.5 * sum(z[:, i] * Q[:, i, j, None] * z[:, j] for i, j in np.ndindex(Q.shape[1:]))
@@ -419,17 +420,20 @@ class _NodeBlock:
         return rows[ok][order], p[ok][order]
 
     def run(self, op, below, tol):
-        """One side, Q slot by Q slot: the verdict per node, {node: witness}
-        of the failing nodes and {node: error} of the nodes that raise."""
+        """One side in two passes: slot 0 of every node, which decides most
+        failing nodes, then slots 1 .. of the nodes still undecided, as
+        (node, slot) pairs in that order. The verdict per node, {node:
+        witness} of the failing nodes and {node: error} of the nodes that
+        raise; an error's index counts the node's candidates of both passes."""
         seen, done = np.zeros(len(self.u0), int), np.zeros(len(self.u0), bool)
         witness, raised = {}, {}
-        for k in range(self.Q.shape[1]):
-            act = np.flatnonzero(self.qok[:, k] & ~done)
+        for lo, hi in ((0, 1), (1, self.Q.shape[1])):
+            act, k = np.nonzero(self.qok[:, lo:hi] & ~done[:, None])
             if not len(act):
                 continue
-            rows, p = self.touching(act, k, below)
-            nodes, val, i = act[rows], np.full(len(rows), np.nan), 0
-            M, s, x = self.Q[nodes, k], self.u0[nodes], self.x0[nodes]
+            rows, p = self.touching(act, k + lo, below)
+            nodes, slots, val, i = act[rows], k[rows] + lo, np.full(len(rows), np.nan), 0
+            M, s, x = self.Q[nodes, slots], self.u0[nodes], self.x0[nodes]
             while i < len(nodes):
                 try:
                     val[i:] = evaluate_many(op, M[i:], p[i:], s[i:], x[i:])
@@ -478,14 +482,16 @@ def check_viscosity(
     admissible, which can flag blow-up points that the bounded class cannot
     touch.
 
-    Nodes go in blocks of _BLOCK, as arrays. Per side the curvatures Q go in
-    order, with one operator evaluation for the touching slopes of a block's
-    undecided nodes; a node drops out at its first failing candidate, which
-    is its witness in (Q, slope) order, swept slopes before box corners. A
-    singular operator value (a quotient with a vanishing denominator) with
-    no failing candidate of its node and side before it raises
-    SingularEvaluationError: the first such (node, side), supersolution side
-    first, with index its place among the candidates of that node and side.
+    Nodes go in blocks of _BLOCK, as arrays, in two passes per side, each
+    with one operator evaluation: the first curvature slot of every node,
+    then the other slots of the nodes it left undecided, as (node, slot)
+    pairs. A node's witness is its first failing candidate in (Q, slope)
+    order, swept slopes before box corners. A singular operator value (a
+    quotient with a vanishing denominator) with no failing candidate of its
+    node and side before it raises SingularEvaluationError: the first such
+    (node, side), supersolution side first, with index its place among the
+    candidates of that node and side. A grid without an interior node
+    raises InvalidInputError.
     """
     if u.shape != f.shape:
         raise InvalidInputError("grids must match")
@@ -493,6 +499,8 @@ def check_viscosity(
         raise ParameterError("side must be sub, super or both")
     sides = [below for below, name in ((True, "super"), (False, "sub")) if side in (name, "both")]
     interior = np.argwhere(np.ones([max(n - 2, 0) for n in u.shape], bool)) + 1
+    if not len(interior):
+        raise InvalidInputError("viscosity check needs an interior node: 3 nodes on every axis")
     pts = u.points().reshape(u.shape + (u.dim,))
     verdicts, witnesses = {True: [], False: []}, []
     for start in range(0, len(interior), _BLOCK):

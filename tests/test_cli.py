@@ -5,6 +5,7 @@ import operator
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -430,6 +431,8 @@ ABP = ["abp", "--input", "u.grid", "--lambda", "1", "--Lambda", "1"]
     pytest.param("one-node", ["normalize", "--input", "u.grid", "--heights", "0.1"],
                  "2 nodes on every grid axis", id="normalize-one-node"),
     pytest.param("no-ball-node", ABP, "no grid node lies in the ball", id="abp-no-ball-node"),
+    pytest.param("no-ball-node", ["check", "--input", "u.grid", "--op", "ma", "--f", "1"],
+                 "needs an interior node", id="check-no-interior-node"),
 ])
 def test_degenerate_grid_file_is_3(grid, argv, message, tmp_path, monkeypatch, capsys):
     shape, values = DEGENERATE[grid]
@@ -440,6 +443,22 @@ def test_degenerate_grid_file_is_3(grid, argv, message, tmp_path, monkeypatch, c
     out, err = capsys.readouterr()
     rec = json.loads(out)
     assert (rc, rec["kind"], rec["error"], err) == (3, "error", "InvalidInputError", "")
+    assert message in rec["message"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["check", "--fixture", "quadratic", "--box=-1,1", "--h", "2"],
+                 "needs an interior node", id="check-two-nodes-per-axis"),
+    pytest.param(["normalize", "--fixture", "quadratic", "--point", "5,5", "--heights", "0.01"],
+                 "lies outside its box", id="normalize-point-outside-the-box"),
+])
+def test_degenerate_fixture_domain_is_3(argv, message, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    out, err = capsys.readouterr()
+    rec = json.loads(out)
+    assert (rc, rec["kind"], rec["error"], err, caught) == (3, "error", "InvalidInputError", "", [])
     assert message in rec["message"]
 
 

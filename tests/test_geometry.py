@@ -1,10 +1,11 @@
 import functools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nelliptic import cli, geometry
@@ -12,6 +13,7 @@ from nelliptic.errors import (
     InvalidInputError,
     IterationLimitError,
     NonConvexityError,
+    ParameterError,
     RankError,
     SectionEscapeError,
 )
@@ -147,6 +149,24 @@ class TestSection:
     def test_escape(self):
         with pytest.raises(SectionEscapeError):
             section(fixture("quadratic"), [0, 0], 10.0, domain=([-1, -1], [1, 1]))
+
+    def test_steps_too_small_to_grow_reach_the_edge(self):
+        # 1e-323 from the box edge, the first step is 0 or 5e-324 on the rays
+        # towards it, and 1.3 times it rounds back to it
+        with pytest.raises(SectionEscapeError):
+            section(fixture("quadratic"), [1e-323, 0.0], 0.02, rays=8, domain=([0, -1], [1, 1]))
+
+    @pytest.mark.parametrize("lo,hi,x0", [
+        ([-1, -1], [1, np.nan], [0, 0]),
+        ([-1, -1], [1, np.inf], [0, 0]),
+        ([-1, 1], [1, 1], [0, 1]),  # lo = hi on an axis
+        ([-1, -1], [1, 1], [0, 1.5]),  # x0 outside the box
+    ])
+    def test_box_and_base_point_are_checked(self, lo, hi, x0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                section(fixture("quadratic"), x0, 0.5, domain=(lo, hi))
 
 
 class TestJohn:
@@ -385,3 +405,135 @@ class TestMVEE:
         assert len(lines) == 1
         rec = json.loads(lines[0])
         assert rec["kind"] == "error" and rec["error"] == "IterationLimitError"
+
+
+# ---------------------------------------------------------------------------
+# the lockstep section, kept as the reference for the one-evaluation expansion
+
+
+def lockstep_section(u, x0, h, rays=256, domain=None):
+    """section() with every ray in lockstep: one evaluation of u per
+    expansion or bisection step."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    n = len(x0)
+    if n not in (1, 2) or not np.all(np.isfinite(x0)):
+        raise InvalidInputError("section needs a finite base point in dim 1 or 2")
+    if not 0 < h < math.inf:
+        raise ParameterError("section height h must be positive and finite")
+    lo, hi = geometry._domain_box(u, domain)
+    diam = float(np.linalg.norm(hi - lo))
+    u0 = float(u(x0))
+    if getattr(u, "grad", None) is not None:
+        g = np.asarray(u.grad(x0), dtype=float)
+    else:
+        dx = u.spacing / 2.0 if isinstance(u, GridFunction) else 1e-6
+        g = (u(x0 + dx * np.eye(n)) - u(x0 - dx * np.eye(n))) / (2 * dx)
+
+    if n == 1:
+        dirs = np.array([[1.0], [-1.0]])
+    else:
+        ang = 2 * math.pi * np.arange(rays) / rays
+        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    # distance from x0 to the box boundary along each ray
+    reach = np.where(dirs > 0, hi - x0, lo - x0)
+    moving = np.abs(dirs) > 1e-15
+    tm = np.min(np.divide(reach, dirs, out=np.full(dirs.shape, math.inf), where=moving), axis=1)
+
+    dent_tol = 1e-12 * (1.0 + abs(u0)) + 1e-9 * h
+    if isinstance(u, GridFunction):
+        # bilinear interpolants of convex data are only convex up to O(h^2)
+        dent_tol += 0.5 * u.spacing**2 * (1.0 + abs(u0))
+    count = len(dirs)
+    t = np.minimum(1e-6 * diam, 0.25 * tm)
+    t_lo, t_hi, prev, val = (np.zeros(count) for _ in range(4))
+    expanding, bisecting = np.ones(count, dtype=bool), np.zeros(count, dtype=bool)
+    steps = np.zeros(count, dtype=int)
+    failed = np.zeros(count, dtype=int)  # 1: escaped, 2: profile decreased
+    while True:
+        bisecting &= (t_hi - t_lo > 1e-10 * diam) & (steps < 200)
+        active = expanding | bisecting
+        if not active.any():
+            break
+        mid = 0.5 * (t_lo + t_hi)
+        X = x0 + np.where(expanding, np.minimum(t, tm), mid)[active, None] * dirs[active]
+        val[active] = u(X) - u0 - np.vecdot(X - x0, g)
+        # expansion: the box edge, then a dent, then the level h ends it
+        edge = expanding & (t >= tm)
+        failed[edge & (val < h)] = 1
+        dent = expanding & ~edge & (val < prev - dent_tol)
+        failed[dent] = 2
+        grow = expanding & ~edge & ~dent & (val < h)
+        prev[grow], t_lo[grow] = val[grow], t[grow]
+        # bisection halves [t_lo, t_hi]
+        hit, miss = bisecting & (val >= h), bisecting & (val < h)
+        t_hi[hit], t_lo[miss] = mid[hit], mid[miss]
+        steps += bisecting
+        done = expanding & ~grow & (failed == 0)
+        t_hi[done] = np.where(edge, tm, t)[done]
+        bisecting |= done
+        t[grow] *= 1.3
+        expanding = grow
+    bad = np.flatnonzero(failed)
+    if bad.size and failed[bad[0]] == 1:
+        raise SectionEscapeError("section at height %g reaches the domain boundary" % h)
+    if bad.size:
+        raise NonConvexityError(
+            "profile decreases along ray %s: convexity precondition fails"
+            % (dirs[bad[0]].tolist(),)
+        )
+    return x0 + (0.5 * (t_lo + t_hi))[:, None] * dirs
+
+
+def section_outcome(fn, *args, **kwargs):
+    """The vertices, or the type and message of the section error raised,
+    with the calls of u (as the shapes of their arguments)."""
+    u, calls = args[0], []
+    real = type(u).__call__
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return real(self, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(type(u), "__call__", counted)
+        try:
+            return fn(*args, **kwargs), calls
+        except (SectionEscapeError, NonConvexityError) as exc:
+            return (type(exc).__name__, str(exc)), calls
+
+
+@st.composite
+def section_cases(draw):
+    """Quadratics with Hessian R diag(a, b) R^T, dented where b < 0, as the
+    fixture on [-2, 2]^2 or gridded at h = 1/16 on [-1, 1]^2, with a random
+    base point, height (large ones escape) and 1 to 64 rays."""
+    a, b, angle = draw(st.floats(0.2, 3.0)), draw(st.floats(-2.0, 3.0)), draw(st.floats(0, 3.2))
+    R = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    slope = [draw(st.floats(-1.0, 1.0)) for _ in range(2)]
+    u = fixture("quadratic", A=R @ np.diag([a, b]) @ R.T, b=slope, c=draw(st.floats(-1.0, 1.0)))
+    half = 2.0
+    if draw(st.booleans()):
+        u, half = GridFunction.from_box([-1, -1], [1, 1], 1 / 16, fn=u), 1.0
+    x0 = [draw(st.floats(-0.5 * half, 0.5 * half)) for _ in range(2)]
+    return u, x0, 10 ** draw(st.floats(-3.0, -0.5)), draw(st.integers(1, 64))
+
+
+class TestSectionReference:
+    @settings(max_examples=40, deadline=None)
+    @given(section_cases())
+    @example(case=(fixture("quadratic"), [0.0, 0.0], 0.02, 16))
+    @example(case=(fixture("quadratic"), [0.0, 0.0], 10.0, 16))  # escapes
+    @example(case=(fixture("quadratic", A=np.diag([1.0, -1.0])), [0.0, 0.0], 0.02, 4))  # dents
+    def test_matches_the_lockstep_reference(self, case):
+        u, x0, h, rays = case
+        got, calls = section_outcome(section, u, x0, h, rays=rays)
+        want, _ = section_outcome(lockstep_section, u, x0, h, rays=rays)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+        # u0 (and the gradient's two calls for a grid function, which has no
+        # grad), one call for all expansion steps, then at most 34 bisection
+        # steps: 2^34 > 1e10 halvings of at most the diameter
+        first = 3 if isinstance(u, GridFunction) else 1
+        assert len(calls) <= first + 1 + 34

@@ -665,3 +665,122 @@ class TestBlockChecker:
         finally:
             tracemalloc.stop()
         assert peak <= 4e6
+
+
+# ---------------------------------------------------------------------------
+# the block checker's run with one pass per curvature slot, kept as the
+# reference for the two passes per side (slot 0, then slots 1 .. as (node,
+# slot) pairs)
+
+
+class SlotBySlotBlock(regularity._NodeBlock):
+    """The block checker that ran each curvature slot in a pass of its own."""
+
+    def run(self, op, below, tol):
+        """run() with one array pass per curvature slot."""
+        seen, done = np.zeros(len(self.u0), int), np.zeros(len(self.u0), bool)
+        witness, raised = {}, {}
+        for k in range(self.Q.shape[1]):
+            act = np.flatnonzero(self.qok[:, k] & ~done)
+            if not len(act):
+                continue
+            rows, p = self.touching(act, k, below)
+            nodes, val, i = act[rows], np.full(len(rows), np.nan), 0
+            M, s, x = self.Q[nodes, k], self.u0[nodes], self.x0[nodes]
+            while i < len(nodes):
+                try:
+                    val[i:] = evaluate_many(op, M[i:], p[i:], s[i:], x[i:])
+                    break
+                except SingularEvaluationError as exc:
+                    # the node's candidates before the singular one decide it
+                    j = i + exc.index
+                    val[i:j] = evaluate_many(op, M[i:j], p[i:j], s[i:j], x[i:j])
+                    exc.index = int(seen[nodes[j]] + j - np.searchsorted(nodes, nodes[j]))
+                    raised[int(nodes[j])] = exc
+                    i = np.searchsorted(nodes, nodes[j], "right")
+            fx = self.fx[nodes]
+            bad = np.flatnonzero(val > fx + tol if below else val < fx - tol)
+            for i in bad[np.unique(nodes[bad], return_index=True)[1]]:
+                n = int(nodes[i])
+                raised.pop(n, None)
+                witness[n] = {
+                    "node": self.nodes[n].tolist(), "x": list(map(float, self.x0[n])),
+                    "side": "super" if below else "sub", "slope": list(map(float, p[i])),
+                    "hessian": M[i].tolist(), "operator_value": float(val[i]), "f": float(fx[i]),
+                }
+            done[list(witness) + list(raised)] = True
+            seen += np.bincount(nodes, minlength=len(seen))
+        verdict = ["fail" if n in witness else "pass" if count else "vacuous"
+                   for n, count in enumerate(seen)]
+        return verdict, witness, raised
+
+
+def block_runs(block_class, u, op, f, rho, slopes=32):
+    """Per side, the verdicts, the witnesses and {node: index} of the nodes
+    that raise, of one block holding every interior node."""
+    interior = np.argwhere(np.ones([n - 2 for n in u.shape], bool)) + 1
+    pts = u.points().reshape(u.shape + (u.dim,))
+    block = block_class(u, f, pts, interior, slopes, rho)
+    runs = {}
+    for below in (True, False):
+        verdict, witness, raised = block.run(op, below, 1e-6)
+        runs[below] = verdict, json.dumps(witness, sort_keys=True), {
+            n: exc.index for n, exc in raised.items()}
+    return runs
+
+
+def later_slot_singular_grid():
+    """A 5 x 5 grid on which quotient:2:1, checked from below, meets its
+    first singular candidate at the centre node's candidate 1303: after its
+    937 slot-0 candidates, in a later curvature slot."""
+    v = [[0, 1, -1, 1, 1], [1, -1, -1, 1, 1], [0, 0, -1, -1, -1], [-2, -1, 0, 1, 1],
+         [-2, -1, -1, 2, 2]]
+    u = GridFunction(2, (5, 5), (0.0, 0.0), 0.5, np.array(v, float))
+    return u, GridFunction(2, u.shape, u.origin, u.spacing, np.zeros(u.shape))
+
+
+@st.composite
+def slot_cases(draw):
+    """5 x 5 to 9 x 9 grids of integers (ties and vanishing quotient
+    denominators), kinked quadratics or floats, with a cone or Pucci
+    operator and an optional bounded test class."""
+    shape = (draw(st.integers(5, 9)), draw(st.integers(5, 9)))
+    h = draw(st.sampled_from((0.25, 0.1, 0.5)))
+    kind = draw(st.sampled_from(("integers", "integers", "kinked", "floats")))
+    size = shape[0] * shape[1]
+    if kind == "integers":
+        vals = np.array(draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size)), float)
+    elif kind == "kinked":
+        a, b, k = (draw(st.floats(-2, 2)) for _ in range(3))
+        grid = np.indices(shape).reshape(2, -1).T * h
+        vals = a * grid[:, 0] ** 2 + b * grid[:, 1] + k * np.abs(grid[:, 0] - grid[:, 1] - h)
+    else:
+        vals = np.array(draw(st.lists(st.floats(-10, 10), min_size=size, max_size=size)))
+    u = GridFunction(2, shape, (0.0, 0.0), h, vals.reshape(shape))
+    f0 = draw(st.one_of(st.just(0.0), st.floats(-3, 3)))
+    f = GridFunction(2, shape, (0.0, 0.0), h, np.full(shape, f0))
+    op = draw(st.sampled_from((OperatorSpec.pucci_plus(0.5, 2.0), OperatorSpec.pucci_minus(0.5, 2.0),
+                               OperatorSpec.monge_ampere(), OperatorSpec.quotient(2, 1))))
+    return u, op, f, draw(st.one_of(st.none(), st.floats(0.05, 60)))
+
+
+class TestTwoPassRun:
+    @settings(max_examples=30, deadline=None)
+    @given(slot_cases())
+    def test_matches_the_slot_by_slot_reference(self, case):
+        u, op, f, rho = case  # 8 swept slopes per axis keep the blocks small
+        assert block_runs(regularity._NodeBlock, u, op, f, rho, 8) == block_runs(
+            SlotBySlotBlock, u, op, f, rho, 8)
+
+    def test_singular_candidate_in_a_later_slot(self):
+        u, f = later_slot_singular_grid()
+        op = OperatorSpec.quotient(2, 1)
+        runs = block_runs(regularity._NodeBlock, u, op, f, None)
+        assert runs == block_runs(SlotBySlotBlock, u, op, f, None)
+        assert runs[True][2] == {4: 1303}
+        pts = u.points().reshape(u.shape + (2,))
+        block = regularity._NodeBlock(u, f, pts, np.array([[2, 2]]), 32, None)
+        assert len(block.touching(np.array([0]), np.array([0]), True)[0]) == 937
+        for side in ("super", "both"):
+            got = outcome(check_viscosity, u, op, f, side=side)
+            assert got[0] == "SingularEvaluationError" and got[2] == 1303
